@@ -138,16 +138,6 @@ struct TaneConfig {
   /// scheduling knob and not part of the checkpoint config fingerprint.
   std::string kernel = "auto";
 
-  /// Intern structurally identical partitions behind shared storage (the
-  /// PLI cache). Duplicate PLIs — common above the key level, where every
-  /// product is the empty stripped partition — cost a refcount instead of a
-  /// copy. Deduplication confirms candidates with a full structural compare
-  /// (never hash-only); insertions are issued by the commit frontier in
-  /// node order (workers pre-stage the expensive hash/compare work), so
-  /// results stay byte-identical across thread counts. Counters appear in
-  /// DiscoveryStats (pli_cache_*).
-  bool use_pli_cache = true;
-
   StorageMode storage = StorageMode::kMemory;
 
   /// Spill directory for StorageMode::kDisk and the kAuto fallback. Empty

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -167,11 +168,15 @@ StatusOr<std::unique_ptr<DiskPartitionStore>> DiskPartitionStore::Open(
     fs::path base = fs::temp_directory_path(ec);
     if (ec) return Status::IoError("no temp directory: " + ec.message());
     // Pick an unused name; PIDs and a counter keep concurrent runs apart.
-    static int counter = 0;
+    // Runs on different threads may Open at once: the relaxed fetch_add
+    // only has to hand each attempt a distinct suffix, it publishes
+    // nothing. tane-lint: allow(naked-atomic)
+    static std::atomic<int> counter{0};
     for (int attempt = 0; attempt < 1000; ++attempt) {
       fs::path candidate =
           base / ("tane-spill-" + std::to_string(::getpid()) + "-" +
-                  std::to_string(counter++));
+                  std::to_string(
+                      counter.fetch_add(1, std::memory_order_relaxed)));
       if (fs::create_directory(candidate, ec) && !ec) {
         directory = candidate.string();
         owns = true;

@@ -155,9 +155,11 @@ class MemoryPartitionStore : public PartitionStore {
 class DiskPartitionStore : public PartitionStore {
  public:
   /// Opens a store rooted at `directory`; if empty, creates a fresh
-  /// directory under the system temp dir. A directory created by the store
-  /// (including a named one that did not yet exist) is deleted on
-  /// destruction together with any remaining segment files.
+  /// directory under the system temp dir, distinct from every other such
+  /// directory in the process even when threads open stores concurrently.
+  /// A directory created by the store (including a named one that did not
+  /// yet exist) is deleted on destruction together with any remaining
+  /// segment files.
   static StatusOr<std::unique_ptr<DiskPartitionStore>> Open(
       std::string directory = "");
 

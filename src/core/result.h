@@ -13,21 +13,18 @@
 namespace tane {
 
 /// Wall-clock and summed worker-busy time of one level's parallelized
-/// phases (validity testing and next-level partition products). With N
-/// threads, speedup() approaches N when the level has enough independent
-/// nodes to keep every worker fed.
+/// phases (validity testing and next-level partition products). Their
+/// ratio is not a speedup: busy time is wall time a worker spent inside the
+/// level, stalls and lock waits included, so it grows with the thread count
+/// whether or not the level ran any faster. Only a run at another thread
+/// count can tell the speedup.
 struct LevelParallelStats {
   int level = 0;
   /// Lattice nodes the level processed (its |L_ℓ|).
   int64_t nodes = 0;
   double wall_seconds = 0.0;
-  /// Busy time summed across all participating workers.
+  /// Busy wall time summed across all participating workers.
   double worker_seconds = 0.0;
-  /// Achieved parallel speedup of this level: worker CPU time per unit of
-  /// wall time. 1.0 for a serial run.
-  double speedup() const {
-    return wall_seconds > 0.0 ? worker_seconds / wall_seconds : 1.0;
-  }
 };
 
 /// Counters describing the work a discovery run performed; used by the
@@ -61,13 +58,6 @@ struct DiscoveryStats {
   int64_t g3_rows_scanned = 0;
   /// The dispatched data-parallel kernel ("scalar", "avx2", "neon").
   std::string kernel;
-  /// Interning PLI cache counters (lookups == hits + misses). All zero when
-  /// the cache is disabled.
-  int64_t pli_cache_lookups = 0;
-  int64_t pli_cache_hits = 0;
-  int64_t pli_cache_misses = 0;
-  /// Resident partition bytes avoided by deduplicating identical PLIs.
-  int64_t pli_cache_bytes_saved = 0;
   /// Keys found (sets removed by key pruning).
   int64_t keys_found = 0;
   /// Peak bytes of partitions resident in memory at once.

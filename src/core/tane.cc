@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/partition_store.h"
-#include "core/pli_cache.h"
 #include "core/run_snapshot.h"
 #include "lattice/level.h"
 #include "obs/flight_recorder.h"
@@ -171,8 +170,6 @@ struct NodeOutcome {
 struct WindowSlot {
   std::optional<StatusOr<StrippedPartition>> partition;
   NodeOutcome outcome;
-  PliCache::StagedProbe staged;
-  bool has_staged = false;
   // Per-slot completion latch, release-published / acquire-consumed by the
   // window executor; no multi-word protocol. tane-lint: allow(naked-atomic)
   std::atomic<int> done{0};
@@ -203,11 +200,10 @@ struct WindowInputs {
 
 // Shared mutable state of one fused level window. Workers coordinate
 // through the atomic commit `frontier`; everything whose order matters —
-// store inserts, PLI-cache verdicts, the committed node list, the first
-// failure — happens under `mu`, strictly in candidate order. That frontier
-// is the whole determinism argument: handle values, cache hit/miss
-// decisions, and e(·) bookkeeping are issued exactly as a serial run would
-// issue them, for every thread count.
+// store inserts, the committed node list, the first failure — happens under
+// `mu`, strictly in candidate order. That frontier is the whole determinism
+// argument: handle values and e(·) bookkeeping are issued exactly as a
+// serial run would issue them, for every thread count.
 struct WindowContext {
   int64_t count = 0;
   // How far past the frontier a task may start; bounds the partitions that
@@ -242,18 +238,15 @@ class TaneRun {
  public:
   /// `resume_snapshot` (optional, not owned, pre-validated by Discover)
   /// restores the run to its checkpointed level boundary before the
-  /// levelwise loop continues. `pli_cache` (optional, not owned) is the
-  /// interning decorator inside `store`, exposed so the commit frontier can
-  /// pre-stage cache probes on worker threads.
+  /// levelwise loop continues.
   TaneRun(const Relation& relation, const TaneConfig& config,
-          std::unique_ptr<PartitionStore> store, PliCache* pli_cache,
+          std::unique_ptr<PartitionStore> store,
           const RunSnapshot* resume_snapshot)
       : relation_(relation),
         resume_snapshot_(resume_snapshot),
         config_(config),
         controller_(config.run_controller),
         store_(std::move(store)),
-        pli_cache_(pli_cache),
         num_rows_(relation.num_rows()),
         max_removals_(IntegerThreshold(
             config.epsilon, static_cast<double>(relation.num_rows()))),
@@ -348,7 +341,7 @@ class TaneRun {
                       bool* valid, double* error, bool* exact_holds);
 
   // The fused task window that builds one level: every candidate is one
-  // task (partition build + error + validity tests + staged PLI probe),
+  // task (partition build + error + validity tests),
   // runnable as soon as its parents exist — the parents are the previous
   // level, fully live for the whole window, so all tasks are immediately
   // runnable and the pool's work-stealing deques schedule them with no
@@ -366,9 +359,9 @@ class TaneRun {
   void CommitReadySlots(WindowContext* ctx, bool blocking)
       TANE_EXCLUDES(ctx->mu);
 
-  // Commits slot `i`: stores the partition (through the staged PLI-cache
-  // path when available), appends the node, and runs the strided resident-
-  // bytes budget check. Called only at the frontier, in candidate order.
+  // Commits slot `i`: stores the partition, appends the node, and runs the
+  // strided resident-bytes budget check. Called only at the frontier, in
+  // candidate order.
   Status CommitOneSlot(WindowContext* ctx, int64_t i)
       TANE_REQUIRES(ctx->mu);
 
@@ -606,9 +599,6 @@ class TaneRun {
   const TaneConfig& config_;
   RunController* const controller_;
   std::unique_ptr<PartitionStore> store_;
-  // The interning cache inside store_ (nullptr when disabled); lets the
-  // window stage probes on workers and commit verdicts at the frontier.
-  PliCache* const pli_cache_;
   const int64_t num_rows_;
   // ⌊ε·|r|⌋: validity threshold for g3 removal and g2 row counts.
   const int64_t max_removals_;
@@ -949,7 +939,8 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     metrics_.Add(w->shard, obs::kPartitionProducts, 1);
     // Handles are allocated monotonically and never reused, so handle+1 is
     // a sound content token: consecutive candidates sharing their left
-    // parent (common — candidate lists are sorted) skip re-labeling.
+    // parent skip re-labeling. Candidates are sorted by raw mask, so that
+    // is rare (about 2 products in 10,000 on the Hepatitis stand-in).
     return w->product.Multiply(
         *a, *b, static_cast<uint64_t>(survivors[candidate.parent_a].handle) + 1);
   }
@@ -1000,9 +991,6 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
     // gets the copy so the original can live in singleton_partitions_.
     TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(partition));
     singleton_partitions_.push_back(std::move(partition));
-  } else if (pli_cache_ != nullptr && slot.has_staged) {
-    TANE_ASSIGN_OR_RETURN(
-        node.handle, pli_cache_->PutStaged(std::move(partition), slot.staged));
   } else {
     TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(std::move(partition)));
   }
@@ -1097,9 +1085,8 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
   }
 
   // The per-task body, shared by the parallel window and the serial
-  // fallback: build the candidate's partition (with its planned buffers),
-  // fuse in the validity tests against the parent level, and pre-stage the
-  // PLI-cache probe so the commit frontier only has to issue the verdict.
+  // fallback: build the candidate's partition (with its planned buffers)
+  // and fuse in the validity tests against the parent level.
   auto run_task = [&](WorkerState* w, int64_t i) {
     WindowSlot& slot = ctx.slots[i];
     if (planned) {
@@ -1118,11 +1105,6 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
                                       &slot.outcome);
     slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
-    if (slot.outcome.status.ok() && pli_cache_ != nullptr &&
-        !in.stash_singletons) {
-      slot.staged = pli_cache_->ProbeStaged(built);
-      slot.has_staged = true;
-    }
   };
 
   store_->BeginTaskWindow();
@@ -1337,9 +1319,9 @@ Status TaneRun::RestoreFromSnapshot(const RunSnapshot& snapshot,
   last_checkpoint_level_ = snapshot.completed_level;
 
   // Survivor partitions rehydrate through the regular Put path, so the
-  // store chain (spill, budget accounting, PLI interning) treats them
-  // exactly like partitions the run computed itself. member_rows is
-  // relation-derived state the snapshot format deliberately omits.
+  // store (spill, budget accounting) treats them exactly like partitions
+  // the run computed itself. member_rows is relation-derived state the
+  // snapshot format deliberately omits.
   survivors->reserve(snapshot.survivors.size());
   for (const SnapshotNode& stored : snapshot.survivors) {
     TANE_ASSIGN_OR_RETURN(StrippedPartition partition,
@@ -1767,28 +1749,11 @@ StatusOr<DiscoveryResult> Tane::Discover(const Relation& relation,
     store = std::make_unique<MemoryPartitionStore>();
   }
 
-  // The interning PLI cache decorates whichever store was chosen; outer
-  // handles behave exactly like the raw store's, so the run is oblivious.
-  PliCache* pli_cache = nullptr;
-  if (config.use_pli_cache) {
-    auto cache = std::make_unique<PliCache>(std::move(store));
-    pli_cache = cache.get();
-    store = std::move(cache);
-  }
-
   DiscoveryResult result;
-  TaneRun run(relation, config, std::move(store), pli_cache,
-              resume_snapshot.get());
+  TaneRun run(relation, config, std::move(store), resume_snapshot.get());
   TANE_RETURN_IF_ERROR(run.Run(&result));
   if (auto_store != nullptr) {
     result.stats.degraded_to_disk = auto_store->spilled();
-  }
-  if (pli_cache != nullptr) {
-    const PliCacheStats cache_stats = pli_cache->stats();
-    result.stats.pli_cache_lookups = cache_stats.lookups;
-    result.stats.pli_cache_hits = cache_stats.hits;
-    result.stats.pli_cache_misses = cache_stats.misses;
-    result.stats.pli_cache_bytes_saved = cache_stats.bytes_saved;
   }
   return result;
 }

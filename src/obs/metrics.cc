@@ -27,9 +27,6 @@ std::string_view CounterName(CounterId id) {
     case kKeysFound:          return "keys_found";
     case kNodesProcessed:     return "nodes_processed";
     case kFdsEmitted:         return "fds_emitted";
-    case kPliCacheLookups:    return "pli_cache_lookups";
-    case kPliCacheHits:       return "pli_cache_hits";
-    case kPliCacheMisses:     return "pli_cache_misses";
     case kPoolAcquires:       return "pool_acquires";
     case kPoolReuses:         return "pool_reuses";
     case kPoolRecycles:       return "pool_recycles";
@@ -58,7 +55,6 @@ std::string_view GaugeName(GaugeId id) {
     case kResidentBytes:      return "resident_bytes";
     case kPeakResidentBytes:  return "peak_resident_bytes";
     case kPooledBytes:        return "pooled_bytes";
-    case kPliCacheBytesSaved: return "pli_cache_bytes_saved";
     case kDegradedToDisk:     return "degraded_to_disk";
     case kCheckpointLastLevel: return "checkpoint_last_level";
     case kResumedFromLevel:   return "resumed_from_level";

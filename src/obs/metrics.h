@@ -40,9 +40,6 @@ enum CounterId : int {
   kKeysFound,           ///< sets removed by key pruning
   kNodesProcessed,      ///< lattice nodes whose validity tests finished
   kFdsEmitted,          ///< minimal dependencies recorded
-  kPliCacheLookups,
-  kPliCacheHits,
-  kPliCacheMisses,
   kPoolAcquires,        ///< buffers handed out by the buffer pool
   kPoolReuses,          ///< acquires served without a heap allocation
   kPoolRecycles,        ///< buffers returned to the pool
@@ -70,7 +67,6 @@ enum GaugeId : int {
   kResidentBytes,       ///< partitions + scratch + pool currently resident
   kPeakResidentBytes,
   kPooledBytes,         ///< bytes retained by the buffer-pool freelists
-  kPliCacheBytesSaved,
   kDegradedToDisk,      ///< 1 once a kAuto store spilled mid-run
   kCheckpointLastLevel,  ///< deepest level captured by a durable snapshot
   kResumedFromLevel,    ///< snapshot level this run restarted from (0: fresh)
@@ -185,9 +181,9 @@ class MetricsRegistry {
 
   /// Adds `delta` from any thread (atomic read-modify-write). This is the
   /// shared lane for paths with no worker identity — spill I/O inside the
-  /// disk store, pool recycling, PLI-cache bookkeeping. The fetch_add *is*
-  /// the synchronization: no lock guards these cells, so the lane needs no
-  /// TANE_GUARDED_BY and stays safe from any thread.
+  /// disk store, pool recycling. The fetch_add *is* the synchronization: no
+  /// lock guards these cells, so the lane needs no TANE_GUARDED_BY and stays
+  /// safe from any thread.
   void AddShared(CounterId id, int64_t delta) {
     shared_counters_[id].fetch_add(delta, std::memory_order_relaxed);
   }

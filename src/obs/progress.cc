@@ -120,7 +120,6 @@ std::string ProgressMonitor::FormatLine(std::string_view reason) {
   line += " kernel=";
   line += KernelKindName(
       static_cast<KernelKind>(snap.gauge(kKernelKind)));
-  line += " cache_hits=" + std::to_string(snap.counter(kPliCacheHits));
   AppendF(&line, " resident_mb=%.1f",
           static_cast<double>(snap.gauge(kResidentBytes)) / (1024.0 * 1024.0));
   AppendF(&line, " peak_mb=%.1f",

@@ -138,8 +138,10 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
 
   json->BeginObject();
   // v2 added the "checkpoint" block and the "resumable" result field; v3
-  // adds the "hw" hardware-counter block and the "trace" ring status.
-  json->Key("schema_version").Value(3);
+  // the "hw" hardware-counter block and the "trace" ring status; v4 drops
+  // the partition-interning cache's config flag and metrics, and the
+  // levels' "speedup" field.
+  json->Key("schema_version").Value(4);
   json->Key("tool").Value("tane");
 
   json->Key("config").BeginObject();
@@ -150,7 +152,6 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   // The requested kernel; the dispatched one (post-fallback) is
   // result.stats.kernel, surfaced via the kernel_kind gauge.
   json->Key("kernel").Value(config.kernel);
-  json->Key("use_pli_cache").Value(config.use_pli_cache);
   json->Key("storage").Value(StorageName(config.storage));
   json->Key("use_rhs_plus_pruning").Value(config.use_rhs_plus_pruning);
   json->Key("use_key_pruning").Value(config.use_key_pruning);
@@ -228,7 +229,6 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
     json->Key("nodes").Value(level.nodes);
     json->Key("wall_seconds").Value(level.wall_seconds);
     json->Key("worker_seconds").Value(level.worker_seconds);
-    json->Key("speedup").Value(level.speedup());
     json->EndObject();
   }
   json->EndArray();

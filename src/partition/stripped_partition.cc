@@ -91,22 +91,6 @@ StrippedPartition StrippedPartition::Canonicalized() const {
   return out;
 }
 
-uint64_t StrippedPartition::StructuralHash() const {
-  // FNV-1a over the header and both CSR arrays.
-  uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](uint64_t value) {
-    hash ^= value;
-    hash *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(num_rows_));
-  mix(stripped_ ? 1u : 0u);
-  mix(row_ids_.size());
-  mix(class_offsets_.size());
-  for (int32_t row : row_ids_) mix(static_cast<uint32_t>(row));
-  for (int32_t offset : class_offsets_) mix(static_cast<uint32_t>(offset));
-  return hash;
-}
-
 void StrippedPartition::MoveBuffersInto(std::vector<int32_t>* row_ids,
                                         std::vector<int32_t>* class_offsets) {
   *row_ids = std::move(row_ids_);

@@ -87,11 +87,6 @@ class StrippedPartition {
   /// of `other` (π refines π'). O(member rows of both). Used by Lemma 1.
   bool Refines(const StrippedPartition& other) const;
 
-  /// A 64-bit hash of the full structural identity (row count,
-  /// representation, and both CSR arrays). Equal partitions hash equal;
-  /// used with a full structural compare by the interning PLI cache.
-  uint64_t StructuralHash() const;
-
   /// Moves the CSR arrays out for buffer recycling, leaving this partition
   /// empty (all singletons) but structurally valid.
   void MoveBuffersInto(std::vector<int32_t>* row_ids,

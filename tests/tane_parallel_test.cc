@@ -25,11 +25,10 @@ Relation Dataset(PaperDataset dataset, int64_t rows) {
 }
 
 DiscoveryResult Discover(const Relation& relation, double epsilon,
-                         int num_threads, bool use_pli_cache = true) {
+                         int num_threads) {
   TaneConfig config;
   config.epsilon = epsilon;
   config.num_threads = num_threads;
-  config.use_pli_cache = use_pli_cache;
   // Force the parallel task window even on small levels and single-core CI
   // machines: these tests exist to exercise the scheduler, not to go fast.
   config.parallel_min_window_rows = 0;
@@ -60,13 +59,6 @@ void ExpectIdenticalResults(const DiscoveryResult& expected,
   EXPECT_EQ(expected.stats.partition_products,
             actual.stats.partition_products);
   EXPECT_EQ(expected.stats.sets_generated, actual.stats.sets_generated);
-  // Interning is coordinator-serial in node order, so cache traffic is also
-  // thread-count invariant.
-  EXPECT_EQ(expected.stats.pli_cache_lookups, actual.stats.pli_cache_lookups);
-  EXPECT_EQ(expected.stats.pli_cache_hits, actual.stats.pli_cache_hits);
-  EXPECT_EQ(expected.stats.pli_cache_misses, actual.stats.pli_cache_misses);
-  EXPECT_EQ(expected.stats.pli_cache_bytes_saved,
-            actual.stats.pli_cache_bytes_saved);
   // The window planner assigns pooled buffers to candidates in node order —
   // a pure function of the candidate list — so the run-wide allocation
   // count cannot drift with the thread count (it used to, when workers
@@ -134,41 +126,6 @@ TEST_P(TaneParallelDeterminismTest, SerialFallbackMatchesParallelWindow) {
     StatusOr<DiscoveryResult> fallback = Tane::Discover(relation, config);
     ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
     ExpectIdenticalResults(windowed, *fallback, 4);
-  }
-}
-
-TEST_P(TaneParallelDeterminismTest, PliCacheCountersAreConsistent) {
-  const Relation relation = Dataset(GetParam().dataset, GetParam().rows);
-  for (int threads : {1, 2, 8}) {
-    const DiscoveryResult result = Discover(relation, 0.0, threads);
-    const DiscoveryStats& stats = result.stats;
-    EXPECT_EQ(stats.pli_cache_lookups,
-              stats.pli_cache_hits + stats.pli_cache_misses)
-        << threads;
-    // Every stored partition goes through the cache.
-    EXPECT_GT(stats.pli_cache_lookups, 0) << threads;
-    EXPECT_GE(stats.pli_cache_bytes_saved, 0) << threads;
-  }
-}
-
-TEST_P(TaneParallelDeterminismTest, PliCacheOffMatchesCacheOn) {
-  // Interning and pooling are pure storage optimizations: disabling the
-  // cache must not change a single dependency, key, or error — at any
-  // thread count.
-  const Relation relation = Dataset(GetParam().dataset, GetParam().rows);
-  const DiscoveryResult cached = Discover(relation, 0.0, 1, true);
-  for (int threads : {1, 2, 8}) {
-    const DiscoveryResult uncached = Discover(relation, 0.0, threads, false);
-    ASSERT_EQ(cached.fds.size(), uncached.fds.size()) << threads;
-    for (size_t i = 0; i < cached.fds.size(); ++i) {
-      EXPECT_EQ(cached.fds[i].lhs, uncached.fds[i].lhs) << threads;
-      EXPECT_EQ(cached.fds[i].rhs, uncached.fds[i].rhs) << threads;
-      EXPECT_EQ(cached.fds[i].error, uncached.fds[i].error) << threads;
-    }
-    EXPECT_EQ(cached.keys, uncached.keys) << threads;
-    // With the cache off, its counters stay zero.
-    EXPECT_EQ(uncached.stats.pli_cache_lookups, 0) << threads;
-    EXPECT_EQ(uncached.stats.pli_cache_hits, 0) << threads;
   }
 }
 
@@ -258,7 +215,7 @@ TEST(TaneParallelStatsTest, LevelParallelStatsCoverEveryLevel) {
     EXPECT_EQ(level.level, expected_level++);
     EXPECT_GE(level.wall_seconds, 0.0);
     EXPECT_GE(level.worker_seconds, 0.0);
-    EXPECT_GT(level.speedup(), 0.0);
+    EXPECT_GT(level.nodes, 0);
   }
 }
 

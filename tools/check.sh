@@ -64,8 +64,9 @@ else
 fi
 echo "perf smoke OK: ${smoke_json}"
 
-# Scaling gate: run the thread-scaling sweep at quick scale and hard-fail
-# on regressions — any thread count whose output differs from serial, any
+# Scaling gate: run the thread-scaling sweeps (a planted synthetic relation
+# and the Lymphography stand-in) at quick scale and hard-fail on
+# regressions — any thread count whose output differs from serial, any
 # allocation-count drift, and (on machines with the cores to measure it)
 # speedups below the floors in check_obs.py. On single-core CI boxes the
 # floors self-skip but the determinism and allocation checks still bind.

@@ -18,10 +18,11 @@ Chrome trace-event JSON (loadable by chrome://tracing and Perfetto) and
 names every expected phase span. `report` checks the run-report schema and
 that its counters and per-level table agree with what `tane discover
 --stats` printed for the same run. `scaling` hard-fails on thread-scaling
-regressions in the parallel_scaling artifact: every run must match the
-serial output bit for bit, allocation counts must not drift with the thread
-count, and — on machines whose hardware_concurrency covers the thread count
-— speedups must clear the regression floors below. `profile` gates the
+regressions in the parallel_scaling artifact: every run of every sweep
+(each names its relation) must match the serial output bit for bit,
+allocation counts must not drift with the thread count, and — on machines
+whose hardware_concurrency covers the thread count — speedups must clear
+the regression floors below, the Lymphography sweep included. `profile` gates the
 sampling profiler: the folded-stack artifact must be structurally valid
 (semicolon-joined frames rooted at "tane", integer sample counts) and
 carry real samples, and the profiled run's discover time may not exceed
@@ -76,10 +77,6 @@ STATS_TOKENS = {
     "g3_scans": ("metrics", "counters", "g3_scans"),
     "g3_scans_skipped": ("metrics", "counters", "g3_scans_skipped"),
     "product_allocations": ("metrics", "counters", "product_allocations"),
-    "pli_cache_lookups": ("metrics", "counters", "pli_cache_lookups"),
-    "pli_cache_hits": ("metrics", "counters", "pli_cache_hits"),
-    "pli_cache_misses": ("metrics", "counters", "pli_cache_misses"),
-    "pli_cache_bytes_saved": ("metrics", "gauges", "pli_cache_bytes_saved"),
     "peak_partition_bytes": ("metrics", "gauges", "peak_resident_bytes"),
     "checkpoint_writes": ("checkpoint", "writes"),
     "checkpoint_bytes": ("checkpoint", "bytes"),
@@ -197,17 +194,23 @@ def check_trace(path):
           f"{doc.get('otherData', {}).get('dropped_events', 0)} dropped)")
 
 
-# Speedup floors for the exact (epsilon = 0) sweep, deliberately below the
-# target numbers in the issue (>=1.5x at 2T, >=6x at 8T) so CI noise does
-# not flap the gate, but far above the regression they guard against
-# (0.57x at 2T). Applied only when the machine has at least as many
-# hardware threads as the run asked for.
+# Speedup floors for the exact (epsilon = 0) synthetic sweep, deliberately
+# below the targets (>=1.5x at 2T, >=6x at 8T) so CI noise does not flap the
+# gate, but far above the regression they guard against (0.57x at 2T).
+# Applied only when the machine has at least as many hardware threads as
+# the run asked for.
 EXACT_SPEEDUP_FLOORS = {2: 1.2, 4: 2.0, 8: 4.0}
 
-# At epsilon > 0 levels are small and the serial fallback should kick in:
-# no thread count may be materially slower than serial, on any hardware
-# that can actually run the threads.
-APPROX_SPEEDUP_FLOOR = 0.95
+# Everywhere else — the approximate synthetic sweep, whose levels are small
+# enough for the serial fallback, and the Lymphography stand-in, whose
+# levels are many tiny products where any serialized per-candidate commit
+# work shows — no thread count may be materially slower than serial, on any
+# hardware that can actually run the threads.
+NOT_SLOWER_FLOOR = 0.95
+
+# Sweeps the artifact must carry, as (relation, epsilon): dropping one would
+# silently retire its floors.
+REQUIRED_SWEEPS = {("synthetic", 0), ("synthetic", 0.1), ("lymphography", 0)}
 
 
 def check_scaling(path):
@@ -221,26 +224,30 @@ def check_scaling(path):
     if not sweeps:
         fail(f"{path}: empty sweeps array")
     checked_floors = 0
+    present = set()
     for sweep in sweeps:
+        relation = sweep.get("relation")
         epsilon = sweep.get("epsilon")
         runs = sweep.get("runs")
-        if epsilon is None or not runs:
-            fail(f"{path}: sweep without epsilon or runs")
+        if not relation or epsilon is None or not runs:
+            fail(f"{path}: sweep without relation, epsilon or runs")
+        present.add((relation, epsilon))
+        name = f"{relation} eps={epsilon}"
         allocations = None
         for run in runs:
             threads = run.get("threads")
             speedup = run.get("speedup")
             if not isinstance(threads, int) or threads < 1:
-                fail(f"eps={epsilon}: run without a valid thread count")
+                fail(f"{name}: run without a valid thread count")
             if not isinstance(speedup, (int, float)):
-                fail(f"eps={epsilon} t={threads}: missing speedup")
+                fail(f"{name} t={threads}: missing speedup")
             if run.get("matches_serial_output") is not True:
-                fail(f"eps={epsilon} t={threads}: output does not match "
-                     f"the serial run — determinism bug")
+                fail(f"{name} t={threads}: output does not match the serial "
+                     f"run — determinism bug")
             if allocations is None:
                 allocations = run.get("product_allocations")
             elif run.get("product_allocations") != allocations:
-                fail(f"eps={epsilon} t={threads}: product_allocations "
+                fail(f"{name} t={threads}: product_allocations "
                      f"{run.get('product_allocations')} drifts from the "
                      f"serial run's {allocations}")
             # Floors only bind when the hardware can actually run the
@@ -250,13 +257,17 @@ def check_scaling(path):
             if threads == 1 or hardware < threads:
                 continue
             floor = (EXACT_SPEEDUP_FLOORS.get(threads)
-                     if epsilon == 0 else APPROX_SPEEDUP_FLOOR)
+                     if (relation, epsilon) == ("synthetic", 0)
+                     else NOT_SLOWER_FLOOR)
             if floor is None:
                 continue
             checked_floors += 1
             if speedup < floor:
-                fail(f"eps={epsilon} t={threads}: speedup {speedup:.2f}x "
-                     f"below the {floor:.2f}x regression floor")
+                fail(f"{name} t={threads}: speedup {speedup:.2f}x below the "
+                     f"{floor:.2f}x regression floor")
+    missing = sorted(REQUIRED_SWEEPS - present)
+    if missing:
+        fail(f"{path}: sweeps missing from the artifact: {missing}")
     skipped = " (floors skipped: insufficient cores)" if checked_floors == 0 \
         else f" ({checked_floors} floors checked)"
     print(f"check_obs: scaling OK ({len(sweeps)} sweeps, "
@@ -303,8 +314,8 @@ def check_hw_object(doc):
 
 def check_report(path, stats_path):
     doc = load(path)
-    if doc.get("schema_version") != 3:
-        fail(f"{path}: schema_version != 3")
+    if doc.get("schema_version") != 4:
+        fail(f"{path}: schema_version != 4")
     for key in ("config", "dataset", "result", "timing", "metrics",
                 "histograms", "levels", "checkpoint", "hw", "trace"):
         if key not in doc:
@@ -374,7 +385,7 @@ def check_report(path, stats_path):
 
     level_lines = re.findall(
         r"^# level (\d+): nodes=(\d+) wall=([\d.eE+-]+)s "
-        r"worker=([\d.eE+-]+)s speedup=([\d.eE+-]+)$",
+        r"worker=([\d.eE+-]+)s$",
         stats_text, re.M)
     levels = doc["levels"]
     if len(level_lines) != len(levels):
@@ -386,8 +397,7 @@ def check_report(path, stats_path):
             fail(f"level {level}: nodes {nodes} vs report "
                  f"level {row['level']} nodes {row['nodes']}")
         for text_value, key in zip(line[2:],
-                                   ("wall_seconds", "worker_seconds",
-                                    "speedup")):
+                                   ("wall_seconds", "worker_seconds")):
             if not close(float(text_value), row[key]):
                 fail(f"level {level} {key}: --stats {text_value} vs "
                      f"report {row[key]}")

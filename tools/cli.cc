@@ -55,10 +55,6 @@ commands:
                         CPU supports), scalar, avx2, or neon; an unavailable
                         kernel falls back to scalar with a warning (output
                         is identical for every K)
-      --pli-cache=on|off
-                        intern structurally identical partitions behind
-                        shared storage (default on; results are identical
-                        either way)
       --format=F        text (default), json, or csv
       --stats           print search statistics and the phase breakdown
       --trace=PATH      write a Chrome/Perfetto trace of the run's phases
@@ -236,15 +232,6 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
   if (const std::string* kernel = args.Flag("kernel")) {
     config.kernel = *kernel;
   }
-  if (const std::string* pli_cache = args.Flag("pli-cache")) {
-    if (*pli_cache == "on") {
-      config.use_pli_cache = true;
-    } else if (*pli_cache == "off") {
-      config.use_pli_cache = false;
-    } else {
-      return Status::InvalidArgument("--pli-cache must be on or off");
-    }
-  }
   if (deadline_ms < 0) {
     return Status::InvalidArgument("--deadline-ms must be >= 0");
   }
@@ -413,10 +400,6 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
         << " product_label_reuses=" << stats.product_label_reuses
         << " g3_rows_scanned=" << stats.g3_rows_scanned
         << " kernel=" << stats.kernel
-        << " pli_cache_lookups=" << stats.pli_cache_lookups
-        << " pli_cache_hits=" << stats.pli_cache_hits
-        << " pli_cache_misses=" << stats.pli_cache_misses
-        << " pli_cache_bytes_saved=" << stats.pli_cache_bytes_saved
         << " peak_partition_bytes=" << stats.peak_partition_bytes
         << " spill_bytes=" << stats.spill_bytes_written
         << " degraded_to_disk=" << (stats.degraded_to_disk ? 1 : 0)
@@ -456,8 +439,7 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
     for (const LevelParallelStats& level : stats.level_parallel) {
       out << "# level " << level.level << ": nodes=" << level.nodes
           << " wall=" << level.wall_seconds
-          << "s worker=" << level.worker_seconds
-          << "s speedup=" << level.speedup() << "\n";
+          << "s worker=" << level.worker_seconds << "s\n";
     }
   }
 
@@ -773,8 +755,7 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
   if (command == "discover") {
     status = CheckKnownFlags(
         *parsed, {"epsilon", "max-lhs", "deadline-ms", "memory-budget-mb",
-                  "threads", "kernel", "pli-cache", "disk", "storage",
-                  "format",
+                  "threads", "kernel", "disk", "storage", "format",
                   "stats", "trace", "report", "progress", "profile",
                   "profile-out", "log-level",
                   "no-header", "delimiter", "checkpoint-dir",

@@ -2,11 +2,10 @@
 
 `PartitionStore::Acquire` pins a partition (possibly faulting it back in
 from spill) and hands out a handle whose refcount the caller now owns.
-The discipline in `src/core/tane.cc` / `src/core/pli_cache.cc` is that
-every function that calls `Acquire` either releases in the same function
-(`Release` / `ReleaseHandles`) or carries a waiver naming who releases and
-when (the per-worker accessor LRU releases at level boundaries, for
-example).
+The discipline in `src/core/tane.cc` is that every function that calls
+`Acquire` either releases in the same function (`Release` /
+`ReleaseHandles`) or carries a waiver naming who releases and when (the
+per-worker accessor LRU releases at level boundaries, for example).
 
 The check is deliberately flow-insensitive — presence of a paired release
 anywhere in the enclosing function, not on every path. That is the same
@@ -17,7 +16,7 @@ covered by the refcount assertions under ASan in tier-1 tests.
 
 RULE = "handle-discipline"
 
-SCOPED_FILES = ("src/core/tane.cc", "src/core/pli_cache.cc")
+SCOPED_FILES = ("src/core/tane.cc",)
 
 ACQUIRE_NAMES = {"Acquire"}
 RELEASE_NAMES = {"Release", "ReleaseHandles", "ReleaseAll"}
