@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -216,10 +217,59 @@ struct WindowContext {
   std::atomic<int64_t> frontier{0};
   // tane-lint: allow(naked-atomic)
   std::atomic<bool> failed{false};
+  // Commit requests not yet served; the caller that raises it from zero
+  // holds the commit duty (see CommitReadySlots). A lone counter whose
+  // acq_rel RMWs are the whole contract. tane-lint: allow(naked-atomic)
+  std::atomic<int64_t> commit_requests{0};
   Mutex mu;
   Status status TANE_GUARDED_BY(mu) = Status::OK();
   std::vector<Node> nodes TANE_GUARDED_BY(mu);
+  // Workers past the gate sleep on gate_cv until the frontier reaches
+  // wake_frontier, the smallest frontier any of them waits for.
+  Mutex gate_mu;
+  CondVar gate_cv;
+  int64_t wake_frontier TANE_GUARDED_BY(gate_mu) =
+      std::numeric_limits<int64_t>::max();
 };
+
+// How long a gated worker spins before it sleeps: most stalls are a few
+// tasks long and end well within it, where a sleep would add a wake-up.
+constexpr std::chrono::microseconds kGateSpin{50};
+
+// How long a worker sleeps at the gate before it polls for a cooperative
+// stop again; commits wake it sooner.
+constexpr std::chrono::milliseconds kGateStopPoll{1};
+
+// Sleeps until the frontier is a quarter gate short of letting task `i`
+// start, the window fails, or kGateStopPoll passes; the caller re-checks.
+// Returns true when a commit woke it that close to its start: the worker
+// then spins out the last commits, so a slow wake-up does not hold its
+// task back.
+bool ParkAtGate(WindowContext* ctx, int64_t i) TANE_EXCLUDES(ctx->gate_mu) {
+  const int64_t target = i - ctx->gate + 1;
+  const int64_t wake_at = target - ctx->gate / 4;
+  MutexLock lock(&ctx->gate_mu);
+  if (ctx->frontier.load(std::memory_order_seq_cst) >= target ||
+      ctx->failed.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  ctx->wake_frontier = std::min(ctx->wake_frontier, wake_at);
+  const bool timed_out = ctx->gate_cv.WaitUntil(
+      &ctx->gate_mu, std::chrono::steady_clock::now() + kGateStopPoll);
+  return !timed_out &&
+         ctx->frontier.load(std::memory_order_seq_cst) >= wake_at;
+}
+
+// Wakes the parked workers once `frontier` reaches the smallest frontier
+// one of them waits for (or, with `failed`, unconditionally). The woken
+// workers that are still gated park again and re-post their targets.
+void WakeGate(WindowContext* ctx, int64_t frontier, bool failed)
+    TANE_EXCLUDES(ctx->gate_mu) {
+  MutexLock lock(&ctx->gate_mu);
+  if (frontier < ctx->wake_frontier && !failed) return;
+  ctx->wake_frontier = std::numeric_limits<int64_t>::max();
+  ctx->gate_cv.NotifyAll();
+}
 
 // Pops the smallest planned buffer whose capacity covers `bound`; an empty
 // vector when the free list cannot (the consumer then allocates and counts
@@ -353,11 +403,10 @@ class TaneRun {
   Status RunLevelWindow(const WindowInputs& in, const BuildFn& build,
                         std::vector<Node>* next, LevelParallelStats* lp);
 
-  // Commits every consecutive ready slot at the frontier. blocking=false is
-  // the worker-side helper (TryLock: somebody else committing is progress
-  // already); blocking=true is the coordinator drain and the serial path.
-  void CommitReadySlots(WindowContext* ctx, bool blocking)
-      TANE_EXCLUDES(ctx->mu);
+  // Commits every consecutive ready slot at the frontier, or hands that job
+  // to the caller already doing it. Call after publishing a slot's `done`.
+  void CommitReadySlots(WindowContext* ctx)
+      TANE_EXCLUDES(ctx->mu, ctx->gate_mu);
 
   // Commits slot `i`: stores the partition, appends the node, and runs the
   // strided resident-bytes budget check. Called only at the frontier, in
@@ -1017,27 +1066,42 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
   return Status::OK();
 }
 
-void TaneRun::CommitReadySlots(WindowContext* ctx, bool blocking) {
-  if (blocking) {
-    ctx->mu.Lock();
-  } else if (!ctx->mu.TryLock()) {
-    // Somebody else is committing — that is already progress; the caller
-    // rechecks the frontier on its next spin.
-    return;
-  }
-  int64_t i = ctx->frontier.load(std::memory_order_relaxed);
-  while (i < ctx->count && !ctx->failed.load(std::memory_order_relaxed) &&
-         ctx->slots[i].done.load(std::memory_order_acquire) != 0) {
-    Status status = CommitOneSlot(ctx, i);
-    if (!status.ok()) {
-      ctx->status = std::move(status);
-      ctx->failed.store(true, std::memory_order_relaxed);
-      break;
+void TaneRun::CommitReadySlots(WindowContext* ctx) {
+  // The caller that raises the request count from zero takes the commit
+  // duty; everyone else only registers a request and goes back to work. The
+  // duty holder rescans until it has retired every request it observed, and
+  // each acq_rel RMW carries the requester's `done` store with it, so a slot
+  // published while another thread commits is never stranded and nobody has
+  // to poll the frontier.
+  int64_t requests =
+      ctx->commit_requests.fetch_add(1, std::memory_order_acq_rel);
+  if (requests != 0) return;
+  requests = 1;
+  do {
+    int64_t first = 0;
+    int64_t i = 0;
+    bool failed = false;
+    {
+      MutexLock lock(&ctx->mu);
+      first = i = ctx->frontier.load(std::memory_order_relaxed);
+      while (i < ctx->count && !ctx->failed.load(std::memory_order_relaxed) &&
+             ctx->slots[i].done.load(std::memory_order_acquire) != 0) {
+        Status status = CommitOneSlot(ctx, i);
+        if (!status.ok()) {
+          ctx->status = std::move(status);
+          ctx->failed.store(true, std::memory_order_relaxed);
+          break;
+        }
+        ++i;
+        ctx->frontier.store(i, std::memory_order_seq_cst);
+      }
+      failed = ctx->failed.load(std::memory_order_relaxed);
     }
-    ++i;
-    ctx->frontier.store(i, std::memory_order_seq_cst);
-  }
-  ctx->mu.Unlock();
+    if (i != first || failed) WakeGate(ctx, i, failed);
+    requests = ctx->commit_requests.fetch_sub(requests,
+                                              std::memory_order_acq_rel) -
+               requests;
+  } while (requests != 0);
 }
 
 Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
@@ -1123,14 +1187,17 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
               WorkerShouldStop(w)) {
             return;
           }
-          // The commit-distance gate. A gated worker helps drain the
-          // frontier instead of blocking: the worker holding the minimum
+          // The commit-distance gate. A gated worker sleeps until the
+          // frontier lets it start: the worker holding the minimum
           // uncommitted task is never gated (its gate condition needs the
           // frontier to pass that very task), and owners pop their deques
           // in ascending index order, so the minimum unfinished task is
           // always either running or next in line — the window cannot
-          // deadlock and the frontier always advances.
+          // deadlock and the frontier always advances. A short stall is
+          // spun out; a long one (a slow task, a spill write) sleeps, so
+          // the run's CPU time does not grow with how long it lasts.
           bool stall_recorded = false;
+          std::chrono::steady_clock::time_point spin_start;
           while (i >= ctx.frontier.load(std::memory_order_seq_cst) +
                           ctx.gate) {
             if (!stall_recorded) {
@@ -1138,6 +1205,7 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
               // *pattern* of stalls, and a spinning worker would otherwise
               // flood its ring in microseconds.
               stall_recorded = true;
+              spin_start = std::chrono::steady_clock::now();
               RecordFlight(worker, obs::FlightEventType::kStall, "gate", i,
                            ctx.frontier.load(std::memory_order_relaxed));
             }
@@ -1145,17 +1213,23 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
                 WorkerShouldStop(w)) {
               return;
             }
-            CommitReadySlots(&ctx, /*blocking=*/false);
-            std::this_thread::yield();
+            if (std::chrono::steady_clock::now() - spin_start <
+                kGateSpin) {
+              std::this_thread::yield();
+            } else if (ParkAtGate(&ctx, i)) {
+              // Woken by a commit: spin again while the frontier closes in.
+              spin_start = std::chrono::steady_clock::now();
+            }
           }
           run_task(w, i);
           ctx.slots[i].done.store(1, std::memory_order_release);
-          CommitReadySlots(&ctx, /*blocking=*/false);
+          CommitReadySlots(&ctx);
         });
     lp->wall_seconds += region.wall_seconds;
     lp->worker_seconds += region.busy_seconds;
-    // Workers have quiesced; drain whatever the last TryLock race left.
-    CommitReadySlots(&ctx, /*blocking=*/true);
+    // Workers have quiesced, and every request they made was served; this
+    // pass only confirms the frontier stopped where the window did.
+    CommitReadySlots(&ctx);
   } else {
     // Serial fallback: same task and commit code on the caller thread, no
     // deques, no gate — the frontier trivially follows the loop index.
@@ -1166,7 +1240,7 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
       if (WorkerShouldStop(w)) break;
       run_task(w, i);
       ctx.slots[i].done.store(1, std::memory_order_release);
-      CommitReadySlots(&ctx, /*blocking=*/true);
+      CommitReadySlots(&ctx);
     }
     const double elapsed = serial_timer.ElapsedSeconds();
     lp->wall_seconds += elapsed;

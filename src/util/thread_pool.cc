@@ -174,7 +174,7 @@ double ThreadPool::Drain(int worker,
   int64_t items = 0;
   WorkStealingDeque& own = *deques_[worker];
   int64_t index = 0;
-  while (remaining_.load(std::memory_order_seq_cst) > 0) {
+  while (true) {
     bool found = own.Pop(&index);
     if (!found) {
       // Own deque dry: sweep the peers, starting just past this worker so
@@ -184,8 +184,15 @@ double ThreadPool::Drain(int worker,
       }
     }
     if (!found) {
-      // Nothing visible anywhere, but indices are still in flight on other
-      // workers; yield and re-sweep until remaining_ hits zero.
+      // Every index was seeded before the job started, so once no deque
+      // holds one the rest are running on other workers: leave instead of
+      // spinning until they finish (ParallelFor waits for them on
+      // done_cv_). A steal that only lost a race re-sweeps.
+      bool all_empty = true;
+      for (int peer = 0; all_empty && peer < num_threads_; ++peer) {
+        all_empty = deques_[peer]->size() == 0;
+      }
+      if (all_empty) break;
       std::this_thread::yield();
       continue;
     }
@@ -194,7 +201,6 @@ double ThreadPool::Drain(int worker,
     fn(worker, index);
     last_end = std::chrono::steady_clock::now();
     ++items;
-    remaining_.fetch_sub(1, std::memory_order_seq_cst);
   }
   if (profiled) SpanStack::Local().Pop();
   if (items == 0) return 0.0;
@@ -257,7 +263,6 @@ ParallelForStats ThreadPool::ParallelFor(
     while (index >= count) index -= num_threads_;
     for (; index >= 0; index -= num_threads_) deque.Push(index);
   }
-  remaining_.store(count, std::memory_order_seq_cst);
 
   {
     MutexLock lock(&mu_);

@@ -162,8 +162,8 @@ class ThreadPool {
  private:
   void WorkerLoop(int worker) TANE_EXCLUDES(mu_);
   // Drains indices for this job — own deque first, then steal sweeps over
-  // peers — until every index of the job has completed, invoking `fn`;
-  // returns this participant's busy seconds (first drained index to last).
+  // peers — until no deque holds one, invoking `fn`; returns this
+  // participant's busy seconds (first drained index to last).
   // The job is passed by argument (captured from the guarded members under
   // mu_) so the drain loop itself touches no lock-protected state.
   double Drain(int worker, const std::function<void(int, int64_t)>& fn);
@@ -183,9 +183,6 @@ class ThreadPool {
   CondVar done_cv_;   // signals the caller: workers drained
   const std::function<void(int, int64_t)>* fn_ TANE_GUARDED_BY(mu_) =
       nullptr;  // current job
-  // Indices of the current job not yet completed; workers keep sweeping
-  // until this hits zero, which is the job's only termination condition.
-  std::atomic<int64_t> remaining_{0};
   uint64_t epoch_ TANE_GUARDED_BY(mu_) =
       0;  // bumped per job so workers see exactly one wake
   int running_ TANE_GUARDED_BY(mu_) =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -185,6 +186,25 @@ TEST(ThreadPoolTest, StatsAreNonNegativeAndBusyCoversWork) {
   });
   EXPECT_GE(stats.wall_seconds, 0.0);
   EXPECT_GE(stats.busy_seconds, 0.0);
+}
+
+TEST(ThreadPoolTest, ReturnsOnlyAfterTheSlowestIndexFinishes) {
+  // Workers that find every deque empty leave the job while index 0 still
+  // runs; ParallelFor must still wait for it.
+  ThreadPool pool(4);
+  std::atomic<bool> slow_done{false};
+  std::vector<std::atomic<int>> visits(64);
+  pool.ParallelFor(64, [&](int, int64_t index) {
+    if (index == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      slow_done.store(true, std::memory_order_relaxed);
+    }
+    visits[index].fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_TRUE(slow_done.load());
+  for (int64_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
 }
 
 TEST(ThreadPoolTest, MoreThreadsThanWork) {
