@@ -52,7 +52,8 @@ class PartitionStore {
   /// Attaches a buffer pool: stores that hold partition buffers recycle
   /// them into `pool` on Release (and on any Put that discards its
   /// argument), closing the allocation loop with PartitionProduct. The pool
-  /// must outlive the store; nullptr detaches. Default: no recycling.
+  /// must outlive the store; nullptr detaches. Default: no recycling. Only
+  /// benchmarks attach one; the discovery driver does not.
   virtual void set_buffer_pool(PartitionBufferPool* pool) { (void)pool; }
 
   /// Attaches the run's metrics registry: stores that perform spill I/O

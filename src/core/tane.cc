@@ -8,7 +8,6 @@
 #include <functional>
 #include <limits>
 #include <list>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -22,7 +21,6 @@
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "partition/buffer_pool.h"
 #include "partition/error.h"
 #include "partition/partition_builder.h"
 #include "partition/product.h"
@@ -65,9 +63,8 @@ void LogIgnoredStatus(const Status& status, const char* context) {
 }
 
 // One attribute set of the current level, with its rhs⁺ candidates C⁺(X),
-// the partition error e(X), the member-row count ‖π_X‖ (drives the next
-// window's output-buffer plan), and the handle of π_X in the partition
-// store.
+// the partition error e(X), the member-row count ‖π_X‖ (bounds the next
+// window's row work), and the handle of π_X in the partition store.
 struct Node {
   AttributeSet set;
   AttributeSet cplus;
@@ -188,14 +185,11 @@ struct WindowInputs {
   // level 1, where the tests run against π_∅.
   const std::vector<Node>* parents = nullptr;
   const LevelIndex* parent_index = nullptr;
-  // Output-row bound per candidate (min of the parents' member rows);
-  // nullptr disables the deterministic buffer plan (level 1, fold mode).
-  const std::vector<int64_t>* row_bounds = nullptr;
   // Fold mode at level 1: keep a resident copy of every singleton partition
   // next to the stored one.
   bool stash_singletons = false;
-  // Σ row_bounds (or an equivalent proxy): the serial-fallback estimate of
-  // the window's total row work.
+  // The serial-fallback estimate of the window's total row work: Σ over
+  // candidates of the smaller parent's member rows (or a proxy at level 1).
   int64_t est_row_work = 0;
 };
 
@@ -271,19 +265,6 @@ void WakeGate(WindowContext* ctx, int64_t frontier, bool failed)
   ctx->gate_cv.NotifyAll();
 }
 
-// Pops the smallest planned buffer whose capacity covers `bound`; an empty
-// vector when the free list cannot (the consumer then allocates and counts
-// it, exactly like a dry pool).
-std::vector<int32_t> TakePlannedBuffer(
-    std::multimap<size_t, std::vector<int32_t>>* free_buffers, size_t bound) {
-  if (free_buffers->empty()) return {};
-  auto it = free_buffers->lower_bound(bound);
-  if (it == free_buffers->end()) return {};
-  std::vector<int32_t> buffer = std::move(it->second);
-  free_buffers->erase(it);
-  return buffer;
-}
-
 class TaneRun {
  public:
   /// `resume_snapshot` (optional, not owned, pre-validated by Discover)
@@ -304,16 +285,10 @@ class TaneRun {
             config.epsilon, static_cast<double>(relation.num_rows()) *
                                 static_cast<double>(relation.num_rows()))),
         pool_(config.num_threads),
-        buffer_pool_(config.num_threads),
         metrics_(config.num_threads),
         tracer_(config.tracer) {
-    // Close the allocation loop: the store recycles released partition
-    // buffers into the pool, and each worker's product scratch acquires
-    // from its own slot (lock-free off the refill path).
-    store_->set_buffer_pool(&buffer_pool_);
     store_->set_metrics(&metrics_);
     store_->set_tracer(tracer_);
-    buffer_pool_.set_metrics(&metrics_);
     // Resolve the dispatch kernel once (config validation already vetted
     // the name) and hand the same immutable ops table to every worker's
     // product and error scratch.
@@ -323,7 +298,6 @@ class TaneRun {
     for (int worker = 0; worker < config.num_threads; ++worker) {
       workers_.push_back(
           std::make_unique<WorkerState>(store_.get(), num_rows_, worker));
-      workers_.back()->product.set_buffer_pool(&buffer_pool_, worker);
       workers_.back()->product.set_metrics(&metrics_, worker);
       workers_.back()->product.set_kernel(kernel_);
       workers_.back()->g3.set_metrics(&metrics_, worker);
@@ -466,11 +440,10 @@ class TaneRun {
     return total;
   }
 
-  // Bytes retained outside the store: pooled freelist buffers plus every
-  // worker's product scratch. Counted toward the memory budget so pooling
-  // cannot hide memory from --memory-budget-mb.
-  int64_t ScratchAndPoolBytes() const {
-    int64_t total = buffer_pool_.pooled_bytes();
+  // Bytes retained outside the store by every worker's product scratch,
+  // staging arrays included. Counted toward the memory budget.
+  int64_t ScratchBytes() const {
+    int64_t total = 0;
     for (const auto& worker : workers_) {
       total += worker->product.ScratchBytes();
     }
@@ -547,7 +520,7 @@ class TaneRun {
     const int64_t budget = controller_->memory_budget_bytes();
     if (budget <= 0) return Status::OK();
     const int64_t resident = store_->resident_bytes() + AccessorCacheBytes() +
-                             ScratchAndPoolBytes();
+                             ScratchBytes();
     if (resident <= budget) return Status::OK();
     ReportBudgetBreach(resident, budget);
     return Status::ResourceExhausted(
@@ -654,14 +627,10 @@ class TaneRun {
   // ⌊ε·|r|²⌋: validity threshold for g1 ordered-pair counts.
   const int64_t max_pairs_;
   ThreadPool pool_;
-  // Shared buffer freelist: stores recycle released CSR arrays here and
-  // worker products acquire their output buffers from it. Declared after
-  // store_ but never touched by store destructors, so member order is safe.
-  PartitionBufferPool buffer_pool_;
   // Run-wide metric shards (one per worker) plus gauges; always on. The
   // DiscoveryStats counters become views over this registry at the end of
   // Run. Declared before workers_ so products can bind to it in the ctor
-  // and after store_/buffer_pool_ so teardown order is safe.
+  // and after store_ so teardown order is safe.
   obs::MetricsRegistry metrics_;
   obs::Tracer* const tracer_;
   std::unique_ptr<obs::ProgressMonitor> monitor_;
@@ -726,10 +695,9 @@ void TaneRun::SamplePeakMemory() {
   // heartbeat line; stats_.peak_partition_bytes is read back from the peak
   // gauge at the end of the run.
   const int64_t resident = store_->resident_bytes() + AccessorCacheBytes() +
-                           ScratchAndPoolBytes();
+                           ScratchBytes();
   metrics_.SetGauge(obs::kResidentBytes, resident);
   metrics_.MaxGauge(obs::kPeakResidentBytes, resident);
-  metrics_.SetGauge(obs::kPooledBytes, buffer_pool_.pooled_bytes());
 }
 
 Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
@@ -988,8 +956,9 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     metrics_.Add(w->shard, obs::kPartitionProducts, 1);
     // Handles are allocated monotonically and never reused, so handle+1 is
     // a sound content token: consecutive candidates sharing their left
-    // parent skip re-labeling. Candidates are sorted by raw mask, so that
-    // is rare (about 2 products in 10,000 on the Hepatitis stand-in).
+    // parent skip re-labeling. GenerateNextLevel emits each block row as
+    // one run of candidates with the same left parent, so at one thread
+    // about half of all products reuse the labels of the one before.
     return w->product.Multiply(
         *a, *b, static_cast<uint64_t>(survivors[candidate.parent_a].handle) + 1);
   }
@@ -1123,40 +1092,11 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     ctx.nodes.reserve(count);
   }
 
-  // The deterministic output-buffer plan (product mode): drain the pool
-  // once and assign each candidate, in node order, the smallest free buffer
-  // that covers its output bound. Unlike slot-local Acquire warm-up, the
-  // plan is a pure function of the candidate list — the run-wide allocation
-  // count cannot drift with the thread count.
-  const bool planned = in.row_bounds != nullptr;
-  std::vector<std::vector<int32_t>> planned_rows;
-  std::vector<std::vector<int32_t>> planned_offsets;
-  std::multimap<size_t, std::vector<int32_t>> free_buffers;
-  if (planned) {
-    for (std::vector<int32_t>& buffer : buffer_pool_.TakeAll()) {
-      const size_t capacity = buffer.capacity();
-      free_buffers.emplace(capacity, std::move(buffer));
-    }
-    planned_rows.resize(count);
-    planned_offsets.resize(count);
-    const size_t min_size = config_.use_stripped_partitions ? 2 : 1;
-    for (int64_t i = 0; i < count; ++i) {
-      const size_t row_bound = static_cast<size_t>((*in.row_bounds)[i]);
-      const size_t offsets_bound = row_bound / min_size + 1;
-      planned_rows[i] = TakePlannedBuffer(&free_buffers, row_bound);
-      planned_offsets[i] = TakePlannedBuffer(&free_buffers, offsets_bound);
-    }
-  }
-
   // The per-task body, shared by the parallel window and the serial
-  // fallback: build the candidate's partition (with its planned buffers)
-  // and fuse in the validity tests against the parent level.
+  // fallback: build the candidate's partition and fuse in the validity
+  // tests against the parent level.
   auto run_task = [&](WorkerState* w, int64_t i) {
     WindowSlot& slot = ctx.slots[i];
-    if (planned) {
-      w->product.ProvideOutputBuffers(std::move(planned_rows[i]),
-                                      std::move(planned_offsets[i]));
-    }
     slot.partition.emplace(build(w, i));
     if (!slot.partition->ok()) return;
     const StrippedPartition& built = slot.partition->value();
@@ -1247,20 +1187,6 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     lp->worker_seconds += elapsed;
   }
   const Status end_status = store_->EndTaskWindow();
-
-  // Return the plan's unconsumed buffers (never issued, or skipped by a
-  // stop) so the next window's planner sees them again.
-  if (planned) {
-    for (auto& [capacity, buffer] : free_buffers) {
-      buffer_pool_.Recycle(std::move(buffer));
-    }
-    for (std::vector<int32_t>& buffer : planned_rows) {
-      if (buffer.capacity() > 0) buffer_pool_.Recycle(std::move(buffer));
-    }
-    for (std::vector<int32_t>& buffer : planned_offsets) {
-      if (buffer.capacity() > 0) buffer_pool_.Recycle(std::move(buffer));
-    }
-  }
 
   int64_t committed = 0;
   Status window_status = Status::OK();
@@ -1478,15 +1404,13 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   const int next_level = level_number + 1;
   std::vector<AttributeSet> sets(candidates.size());
   std::vector<AttributeSet> cplus(candidates.size());
-  std::vector<int64_t> row_bounds(candidates.size());
   int64_t est_row_work = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
     sets[i] = candidates[i].set;
     cplus[i] = SeedCplus(next_level, sets[i], survivors, &survivor_index);
-    row_bounds[i] =
+    est_row_work +=
         std::min((*survivors)[candidates[i].parent_a].member_rows,
                  (*survivors)[candidates[i].parent_b].member_rows);
-    est_row_work += row_bounds[i];
   }
 
   // The next level's timing row is pushed before its window so the fused
@@ -1505,7 +1429,6 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   in.cplus = &cplus;
   in.parents = survivors;
   in.parent_index = &survivor_index;
-  in.row_bounds = config_.use_partition_products ? &row_bounds : nullptr;
   in.est_row_work = est_row_work;
   std::vector<Node> next;
   Status window_status;

@@ -52,7 +52,15 @@ struct LevelCandidate {
 /// if every ℓ-subset is present.
 ///
 /// `level` must contain distinct sets of a single uniform size ℓ >= 1.
-/// Candidates are returned in ascending mask order (deterministic).
+///
+/// Candidates come block by block: blocks in ascending prefix-mask order;
+/// within a block, members ordered by largest attribute and the pairs
+/// (i, j), i < j, in row-major order, with member i as `parent_a`. Each
+/// row is therefore one run of consecutive candidates sharing their left
+/// parent, which lets a product relabel that parent once per run. The
+/// order is a function of the *set* of input sets alone: any permutation of
+/// `level` yields the same candidate sets, with the same parent sets, in
+/// the same order.
 std::vector<LevelCandidate> GenerateNextLevel(
     const std::vector<AttributeSet>& level);
 

@@ -54,7 +54,6 @@ std::string_view GaugeName(GaugeId id) {
     case kMaxLevelSize:       return "max_level_size";
     case kResidentBytes:      return "resident_bytes";
     case kPeakResidentBytes:  return "peak_resident_bytes";
-    case kPooledBytes:        return "pooled_bytes";
     case kDegradedToDisk:     return "degraded_to_disk";
     case kCheckpointLastLevel: return "checkpoint_last_level";
     case kResumedFromLevel:   return "resumed_from_level";

@@ -64,9 +64,8 @@ enum GaugeId : int {
   kLevelNodesTotal,     ///< nodes in the current level
   kLevelNodesStart,     ///< kNodesProcessed total when this level began
   kMaxLevelSize,        ///< the paper's s_max
-  kResidentBytes,       ///< partitions + scratch + pool currently resident
+  kResidentBytes,       ///< partitions + accessor caches + scratch resident
   kPeakResidentBytes,
-  kPooledBytes,         ///< bytes retained by the buffer-pool freelists
   kDegradedToDisk,      ///< 1 once a kAuto store spilled mid-run
   kCheckpointLastLevel,  ///< deepest level captured by a durable snapshot
   kResumedFromLevel,    ///< snapshot level this run restarted from (0: fresh)
@@ -139,7 +138,7 @@ struct MetricsSnapshot {
 };
 
 /// The run-wide metrics registry. Designed so instrumentation adds no
-/// contention to the zero-allocation product path:
+/// contention to the product hot path:
 ///
 ///  * every worker owns one cache-line-padded *shard*; Add()/Record() on a
 ///    shard are single-writer relaxed atomic stores (a plain load+add+store,

@@ -140,8 +140,8 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   // v2 added the "checkpoint" block and the "resumable" result field; v3
   // the "hw" hardware-counter block and the "trace" ring status; v4 drops
   // the partition-interning cache's config flag and metrics, and the
-  // levels' "speedup" field.
-  json->Key("schema_version").Value(4);
+  // levels' "speedup" field; v5 drops the "pooled_bytes" gauge.
+  json->Key("schema_version").Value(5);
   json->Key("tool").Value("tane");
 
   json->Key("config").BeginObject();

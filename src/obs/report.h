@@ -40,7 +40,7 @@ void WriteMetricsObject(const MetricsSnapshot& snapshot, JsonWriter* json);
 void WriteHwObject(const MetricsSnapshot& snapshot,
                    const std::string& kernel, JsonWriter* json);
 
-/// Serializes the machine-readable run report (schema_version 4): config,
+/// Serializes the machine-readable run report (schema_version 5): config,
 /// dataset identity, result summary, timing breakdown, full metric dump,
 /// histogram summaries, hardware-counter aggregates, trace-ring status,
 /// and the per-level table. The per-level rows carry exactly the values

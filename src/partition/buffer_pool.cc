@@ -85,24 +85,6 @@ void PartitionBufferPool::Recycle(StrippedPartition&& partition) {
   Recycle(std::move(offsets));
 }
 
-std::vector<std::vector<int32_t>> PartitionBufferPool::TakeAll() {
-  std::vector<std::vector<int32_t>> taken;
-  for (Slot& slot : slots_) {
-    for (std::vector<int32_t>& buffer : slot.buffers) {
-      taken.push_back(std::move(buffer));
-    }
-    slot.buffers.clear();
-    slot.bytes = 0;
-  }
-  MutexLock lock(&mu_);
-  for (std::vector<int32_t>& buffer : shared_) {
-    taken.push_back(std::move(buffer));
-  }
-  shared_.clear();
-  shared_bytes_ = 0;
-  return taken;
-}
-
 int64_t PartitionBufferPool::pooled_bytes() const {
   int64_t total = 0;
   for (const Slot& slot : slots_) total += slot.bytes;

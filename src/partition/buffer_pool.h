@@ -32,12 +32,16 @@ struct BufferPoolStats {
 /// output). Once the pool has seen one level's worth of buffers, steady-state
 /// products run without touching the allocator at all.
 ///
+/// Only benchmarks attach a pool (the layer replay and the micro bench).
+/// The discovery driver does not: a recycled buffer keeps the grow-only
+/// capacity of the largest partition it ever held, so stored partitions
+/// would carry that slack for life (see DESIGN.md, "Partition memory
+/// layout"). The class goes once the benchmarks stop attaching it.
+///
 /// Concurrency model: every worker owns a numbered slot with a private,
 /// lock-free cache of buffers; the shared freelist behind a mutex is touched
-/// only to refill an empty slot cache (in batches) and by Recycle. TANE only
-/// recycles between parallel regions (Release is coordinator-only), so the
-/// mutex is effectively uncontended — workers never take it except on the
-/// rare refill.
+/// only to refill an empty slot cache (in batches) and by Recycle. Both
+/// benchmark users are single-threaded, so the mutex is never contended.
 ///
 /// A byte cap bounds retained memory: recycling beyond `max_pooled_bytes`
 /// frees the buffer instead of hoarding it. Retained bytes are visible via
@@ -62,20 +66,11 @@ class PartitionBufferPool {
   std::vector<int32_t> Acquire(int slot, size_t capacity_hint);
 
   /// Returns a buffer to the shared freelist (or frees it at the byte cap).
-  /// Thread-safe, but TANE only calls it between parallel regions.
+  /// Thread-safe.
   void Recycle(std::vector<int32_t>&& buffer);
 
   /// Recycles both CSR arrays of `partition`, leaving it empty but valid.
   void Recycle(StrippedPartition&& partition);
-
-  /// Drains every slot cache and the shared freelist into the returned
-  /// vector, leaving the pool empty. Used by the parallel executor's window
-  /// planner, which assigns the drained buffers to candidates in node order
-  /// (a thread-count-invariant plan, unlike slot-local Acquire warm-up) and
-  /// recycles the leftovers at the window boundary. Quiesce-only: no
-  /// concurrent Acquire/Recycle. Counts neither acquires nor reuses — the
-  /// planner's hand-offs are visible as product allocations staying zero.
-  std::vector<std::vector<int32_t>> TakeAll();
 
   /// Bytes currently retained across the shared freelist and every slot
   /// cache. Meaningful between parallel regions (when no worker is

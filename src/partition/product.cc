@@ -136,7 +136,35 @@ PartitionProduct::PartitionProduct(int64_t num_rows)
   touched_.assign(num_rows + 2, 0);
   groups_.assign(num_rows, 0);
   bucket_data_.resize(2 * num_rows);
+  ResizeStaging();
   WarmRadixScratch();
+}
+
+void PartitionProduct::ResizeStaging() {
+  // A product over num_rows_ rows has at most num_rows_ member rows and, in
+  // the unstripped representation, as many classes (plus the leading 0).
+  stage_rows_.resize(num_rows_);
+  stage_offsets_.resize(num_rows_ + 1);
+}
+
+std::vector<int32_t> PartitionProduct::TakeOutput(const int32_t* data,
+                                                  size_t size, size_t bound) {
+  std::vector<int32_t> out;
+  if (pool_ != nullptr) {
+    // Pooled capacities only grow, to the operands' output bound, so a
+    // warmed-up pool serves every product without allocating.
+    out = pool_->Acquire(pool_slot_, bound);
+    if (out.capacity() < size) {
+      out.clear();  // don't let reserve copy recycled contents
+      out.reserve(bound);
+      CountAllocation();
+    }
+    out.assign(data, data + size);
+  } else if (size > 0) {
+    out.assign(data, data + size);
+    CountAllocation();
+  }
+  return out;
 }
 
 void PartitionProduct::CountAllocation() {
@@ -179,6 +207,7 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
     num_rows_ = a.num_rows();
     probe_.assign(num_rows_, -1);
     groups_.assign(num_rows_, 0);
+    ResizeStaging();
     probe_base_ = 0;
     labeled_classes_ = 0;
     last_a_token_ = 0;
@@ -239,44 +268,13 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   }
   const int32_t base = static_cast<int32_t>(probe_base_);
 
-  // Output bounds: every emitted row is a member row of both operands, and
-  // every emitted class holds at least min_size of them.
-  const size_t row_bound = std::min(a.row_ids().size(), b.row_ids().size());
-  const size_t offsets_bound =
-      row_bound / static_cast<size_t>(min_size) + 1;
-
-  std::vector<int32_t> out_rows;
-  std::vector<int32_t> out_offsets;
-  if (has_provided_) {
-    // Planner-assigned buffers (see ProvideOutputBuffers): consumed here so
-    // a later un-planned call falls back to the pool path.
-    out_rows = std::move(provided_rows_);
-    out_offsets = std::move(provided_offsets_);
-    provided_rows_ = {};
-    provided_offsets_ = {};
-    has_provided_ = false;
-  } else if (pool_ != nullptr) {
-    out_rows = pool_->Acquire(pool_slot_, row_bound);
-    out_offsets = pool_->Acquire(pool_slot_, offsets_bound);
-  }
-  if (out_rows.capacity() < row_bound) {
-    out_rows.clear();  // don't let reserve copy recycled contents
-    out_rows.reserve(row_bound);
-    CountAllocation();
-  }
-  if (out_offsets.capacity() < offsets_bound) {
-    out_offsets.clear();
-    out_offsets.reserve(offsets_bound);
-    CountAllocation();
-  }
-  // Expose the whole row bound up front (within the reserved capacity — no
-  // reallocation) and trim to size at the end. Pooled buffers arrive with
-  // their recycled size, so in steady state this resize shrinks or barely
-  // grows instead of zero-filling the full bound.
-  out_rows.resize(row_bound);
-  out_offsets.clear();
-  out_offsets.push_back(0);
+  // Products are staged in arrays sized for the worst case and copied out
+  // at their exact size: a stored partition holds no slack for life.
+  int32_t* const out_rows_data = stage_rows_.data();
+  int32_t* const out_offsets_data = stage_offsets_.data();
   int32_t out_size = 0;
+  int64_t out_classes = 0;
+  out_offsets_data[0] = 0;
 
   // Pass 2, per class of `b`: a branch-free scatter routes each of the
   // class's rows into a flat bucket per `a` class — bucket `g` lives at
@@ -318,7 +316,6 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   int32_t* const touched = touched_.data();
   int32_t* const bucket_data = bucket_data_.data();
   int32_t* const groups = groups_.data();
-  int32_t* const out_rows_data = out_rows.data();
   rows_scanned += static_cast<int64_t>(b_rows.size());
 
   const bool gathered = num_rows_ * static_cast<int64_t>(sizeof(int32_t)) >=
@@ -361,7 +358,7 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
                   bucket_data + bucket_begin + count,
                   out_rows_data + out_size);
         out_size += count;
-        out_offsets.push_back(out_size);
+        out_offsets_data[++out_classes] = out_size;
       }
       cursor[trash_group] = bucket_base[trash_group];
     }
@@ -390,11 +387,19 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
         const int32_t* const bucket = bucket_data + bucket_base[group];
         std::copy(bucket, bucket + count, out_rows_data + out_size);
         out_size += count;
-        out_offsets.push_back(out_size);
+        out_offsets_data[++out_classes] = out_size;
       }
     }
   }
-  out_rows.resize(out_size);
+
+  // Bounds for pooled outputs: every emitted row is a member row of both
+  // operands, and every emitted class holds at least min_size of them.
+  const size_t row_bound = std::min(a_rows.size(), b_rows.size());
+  std::vector<int32_t> out_rows =
+      TakeOutput(out_rows_data, static_cast<size_t>(out_size), row_bound);
+  std::vector<int32_t> out_offsets =
+      TakeOutput(out_offsets_data, static_cast<size_t>(out_classes) + 1,
+                 row_bound / static_cast<size_t>(min_size) + 1);
 
   rows_scanned_ += rows_scanned;
   if (metrics_ != nullptr) {
@@ -402,8 +407,7 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
     if (reuse) {
       metrics_->Add(metrics_shard_, obs::kProductLabelReuses, 1);
     }
-    metrics_->Record(metrics_shard_, obs::kProductClasses,
-                     static_cast<int64_t>(out_offsets.size()) - 1);
+    metrics_->Record(metrics_shard_, obs::kProductClasses, out_classes);
     metrics_->Record(metrics_shard_, obs::kProductMemberRows, out_size);
   }
   return StrippedPartition(a.num_rows(), a.stripped(), std::move(out_rows),

@@ -36,24 +36,27 @@ class MetricsRegistry;
 /// All scratch is flat arrays — an O(|r|) epoch-labelled probe table (no
 /// reset pass between calls), the SoA group stream, a bucket arena laid out
 /// by `a`'s own CSR offsets (each bucket's capacity is exactly its `a`
-/// class size), and a per-class cursor/count array — owned by this object
-/// and reused across calls. Surviving buckets stream into the output with
-/// contiguous copies, so Multiply performs no per-class heap allocations.
+/// class size), a per-class cursor/count array, and two staging arrays the
+/// product is emitted into — owned by this object, sized for |r| rows at
+/// construction, and reused across calls. Surviving buckets stream into the
+/// staging arrays with contiguous copies, so Multiply performs no per-class
+/// heap allocations.
+///
+/// The result is copied out of the staging arrays into vectors of exactly
+/// its size: a stored partition carries no slack capacity, which is what
+/// its EstimatedBytes() and the memory budget charge. That costs two heap
+/// allocations per product (one when the product has no member rows), which
+/// allocations() counts. With a PartitionBufferPool attached
+/// (set_buffer_pool), the output vectors come from recycled buffers instead
+/// and keep their recycled capacity; once the pool has warmed up, those
+/// products are allocation-free. Only benchmarks attach a pool.
 ///
 /// Every kernel computes the same integer stream, and every shape-dependent
 /// strategy choice is a pure function of the operands, so the output (and
 /// the allocation count) is bit-identical across kernels and thread counts;
 /// the equivalence fuzz suite in tests/kernel_equivalence_test.cc enforces
-/// this.
-///
-/// With a PartitionBufferPool attached (set_buffer_pool), the output arrays
-/// themselves come from recycled buffers of released partitions; once the
-/// pool has warmed up, steady-state products are allocation-free —
-/// allocations() counts the heap allocations Multiply did have to perform
-/// (scratch growth or an undersized pooled buffer) and reads 0 in steady
-/// state. Instances are not thread-safe; parallel callers keep one
-/// PartitionProduct per worker (see core/tane.cc), each acquiring from its
-/// own pool slot.
+/// this. Instances are not thread-safe; parallel callers keep one
+/// PartitionProduct per worker (see core/tane.cc).
 ///
 /// Both operands must be over the same number of rows and use the same
 /// representation (stripped or unstripped); the result uses that
@@ -78,21 +81,6 @@ class PartitionProduct {
 
   const KernelOps* kernel() const { return kernel_; }
 
-  /// Hands the next Multiply its output buffers directly, bypassing the
-  /// pool. Used by the parallel executor's window planner, which assigns
-  /// pooled buffers to candidates in node order *before* the window starts —
-  /// per-worker pool slots warm up independently, so slot-local Acquire
-  /// would make the allocation count drift with the thread count, while a
-  /// coordinator-planned assignment is a pure function of the candidate
-  /// list. Consumed (and cleared) by the next Multiply call; undersized
-  /// buffers are still grown and counted as allocations, deterministically.
-  void ProvideOutputBuffers(std::vector<int32_t> rows,
-                            std::vector<int32_t> offsets) {
-    provided_rows_ = std::move(rows);
-    provided_offsets_ = std::move(offsets);
-    has_provided_ = true;
-  }
-
   /// Mirrors allocation counts (kProductAllocations), the rows-scanned /
   /// label-reuse counters, and the class-count / member-row histograms of
   /// every successful product into `metrics`, on shard `shard` (the
@@ -110,8 +98,8 @@ class PartitionProduct {
   /// *content*: two calls on the same PartitionProduct passing the same
   /// nonzero token promise that their `a` operands are structurally equal,
   /// which lets Multiply skip re-labeling the probe table (pass 1) when
-  /// consecutive products share their left parent — TANE's candidate lists
-  /// are sorted, so runs of nodes share a prefix parent. The discovery
+  /// consecutive products share their left parent, as each run of
+  /// GenerateNextLevel's block-ordered candidates does. The discovery
   /// driver passes the store handle (+1): handles are allocated by a
   /// monotone counter and never reused, so equal handles always mean equal
   /// content. Passing 0 (the default) never reuses. Reuse changes neither
@@ -120,9 +108,10 @@ class PartitionProduct {
                                        const StrippedPartition& b,
                                        uint64_t a_token = 0);
 
-  /// Heap allocations performed by Multiply since construction (scratch
-  /// growth plus output buffers the pool could not cover). 0 per product in
-  /// steady state.
+  /// Heap allocations performed by Multiply since construction: scratch
+  /// growth plus the output vectors — two per product without a pool (one
+  /// when the product is empty), and only those a warmed-up pool could not
+  /// cover with one.
   int64_t allocations() const { return allocations_; }
 
   /// Returns allocations() and resets the counter (for periodic merges
@@ -166,13 +155,14 @@ class PartitionProduct {
   }
 
   /// Bytes retained by the reusable scratch arrays (probe table, SoA group
-  /// stream, per-class size arrays, radix buckets), for memory-budget
-  /// accounting.
+  /// stream, per-class size arrays, staging arrays, radix buckets), for
+  /// memory-budget accounting.
   int64_t ScratchBytes() const {
     return static_cast<int64_t>(
                (probe_.capacity() + group_size_.capacity() +
                 touched_.capacity() + bucket_data_.capacity() +
-                groups_.capacity()) *
+                groups_.capacity() + stage_rows_.capacity() +
+                stage_offsets_.capacity()) *
                sizeof(int32_t)) +
            radix_.ScratchBytes();
   }
@@ -181,6 +171,14 @@ class PartitionProduct {
   // One heap allocation happened: bump the local counter and, when a
   // registry is attached, the kProductAllocations shard counter with it.
   void CountAllocation();
+
+  // Sizes the staging arrays for num_rows_ rows.
+  void ResizeStaging();
+
+  // Copies `size` staged values into an output vector: an exact-size heap
+  // vector, or a pooled buffer grown to `bound` if it is too small.
+  std::vector<int32_t> TakeOutput(const int32_t* data, size_t size,
+                                  size_t bound);
 
   // Pre-sizes the radix SoA scratch iff the probe span can ever trigger the
   // radix path — decided from num_rows_ alone, so every worker's scratch
@@ -223,13 +221,14 @@ class PartitionProduct {
   // (hence the a.rows + b.rows arena bound).
   std::vector<int32_t> bucket_data_;
 
+  // The product under construction: member rows and class offsets, sized
+  // for the worst case (|r| rows, |r| + 1 offsets) and copied out at their
+  // exact size once the product is complete.
+  std::vector<int32_t> stage_rows_;
+  std::vector<int32_t> stage_offsets_;
+
   const KernelOps* kernel_ = DefaultKernel();
   RadixLabeler radix_;
-
-  // Buffers staged by ProvideOutputBuffers for the next Multiply.
-  std::vector<int32_t> provided_rows_;
-  std::vector<int32_t> provided_offsets_;
-  bool has_provided_ = false;
 
   PartitionBufferPool* pool_ = nullptr;
   int pool_slot_ = 0;

@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/tane.h"
-#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 
 namespace tane {
@@ -84,70 +82,6 @@ TEST(BufferPoolTest, SlotsDrawFromSharedFreelist) {
     EXPECT_GE(buffer.capacity(), 64u) << slot;
   }
   EXPECT_EQ(pool.stats().reuses, 4);
-}
-
-TEST(BufferPoolTest, TakeAllDrainsSlotCachesAndSharedFreelist) {
-  PartitionBufferPool pool(2);
-  // Stock the shared freelist, then pull one buffer into slot 0's cache
-  // (the refill batch moves up to 8) so both tiers hold buffers.
-  for (int i = 0; i < 12; ++i) {
-    std::vector<int32_t> buffer;
-    buffer.reserve(64);
-    pool.Recycle(std::move(buffer));
-  }
-  std::vector<int32_t> held = pool.Acquire(0, 32);
-  pool.Recycle(std::move(held));
-  ASSERT_GT(pool.pooled_bytes(), 0);
-
-  std::vector<std::vector<int32_t>> taken = pool.TakeAll();
-  EXPECT_EQ(taken.size(), 12u);
-  for (const std::vector<int32_t>& buffer : taken) {
-    EXPECT_GE(buffer.capacity(), 64u);
-  }
-  // The pool is empty afterwards: byte accounting reads zero and the next
-  // acquire finds nothing to reuse.
-  EXPECT_EQ(pool.pooled_bytes(), 0);
-  const int64_t reuses_before = pool.stats().reuses;
-  std::vector<int32_t> dry = pool.Acquire(1, 32);
-  EXPECT_EQ(dry.capacity(), 0u);
-  EXPECT_EQ(pool.stats().reuses, reuses_before);
-}
-
-TEST(BufferPoolTest, TakeAllCountsNeitherAcquiresNorReuses) {
-  PartitionBufferPool pool(1);
-  std::vector<int32_t> buffer;
-  buffer.reserve(16);
-  pool.Recycle(std::move(buffer));
-  const BufferPoolStats before = pool.stats();
-  (void)pool.TakeAll();
-  const BufferPoolStats after = pool.stats();
-  EXPECT_EQ(after.acquires, before.acquires);
-  EXPECT_EQ(after.reuses, before.reuses);
-}
-
-// Regression test for the allocation drift the scaling issue called out
-// (26,942 product allocations at 1 thread vs 27,126 at 8): buffer reuse is
-// planned per candidate in node order, so the run-wide allocation count is
-// a pure function of the search, not of how many workers raced the pool.
-TEST(BufferPoolTest, ProductAllocationsDoNotDriftWithThreadCount) {
-  StatusOr<Relation> relation = MakePaperDataset(
-      PaperDataset::kWisconsinBreastCancer, /*rows=*/200, /*seed=*/42);
-  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
-  int64_t serial_allocations = -1;
-  for (int threads : {1, 2, 8}) {
-    TaneConfig config;
-    config.num_threads = threads;
-    config.parallel_min_window_rows = 0;  // force the window scheduler
-    StatusOr<DiscoveryResult> result = Tane::Discover(*relation, config);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_GT(result->stats.partition_products, 0) << threads;
-    if (serial_allocations < 0) {
-      serial_allocations = result->stats.product_allocations;
-    } else {
-      EXPECT_EQ(result->stats.product_allocations, serial_allocations)
-          << threads << " threads";
-    }
-  }
 }
 
 TEST(BufferPoolTest, RecyclePartitionReturnsBothArrays) {

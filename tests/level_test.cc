@@ -1,6 +1,9 @@
 #include "lattice/level.h"
 
 #include <algorithm>
+#include <random>
+#include <set>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -99,21 +102,53 @@ TEST(GenerateNextLevelTest, TopOfLatticeFromFullPairSet) {
 }
 
 TEST(GenerateNextLevelTest, DeterministicOrder) {
-  std::vector<AttributeSet> level = {
-      AttributeSet::Singleton(2), AttributeSet::Singleton(0),
-      AttributeSet::Singleton(1)};
-  std::vector<LevelCandidate> a = GenerateNextLevel(level);
-  std::vector<LevelCandidate> b = GenerateNextLevel(level);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].set, b[i].set);
-    EXPECT_EQ(a[i].parent_a, b[i].parent_a);
-    EXPECT_EQ(a[i].parent_b, b[i].parent_b);
+  // All 10 pairs of {0..4}: blocks {0}, {1}, {2}, {3} yield 6 + 3 + 1 + 0
+  // triples, block by block.
+  std::vector<AttributeSet> level;
+  for (int a = 0; a < 5; ++a) {
+    for (int b = a + 1; b < 5; ++b) level.push_back(AttributeSet::Of({a, b}));
   }
-  EXPECT_TRUE(std::is_sorted(
-      a.begin(), a.end(), [](const LevelCandidate& x, const LevelCandidate& y) {
-        return x.set < y.set;
-      }));
+  const std::vector<LevelCandidate> candidates = GenerateNextLevel(level);
+  ASSERT_EQ(candidates.size(), 10u);
+
+  // Blocks ascend by prefix mask: the prefix is the left parent minus its
+  // largest attribute, i.e. the candidate minus its two largest.
+  const auto prefix = [&](const LevelCandidate& candidate) {
+    const AttributeSet left = level[candidate.parent_a];
+    const std::vector<int> members = left.ToIndices();
+    return left.Without(members.back());
+  };
+  for (size_t i = 1; i < candidates.size(); ++i) {
+    EXPECT_LE(prefix(candidates[i - 1]).mask(), prefix(candidates[i]).mask())
+        << i;
+  }
+  EXPECT_EQ(candidates.front().set, AttributeSet::Of({0, 1, 2}));
+  EXPECT_EQ(candidates.back().set, AttributeSet::Of({2, 3, 4}));
+
+  // Each left parent forms one contiguous run.
+  std::set<int> finished;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const int left = candidates[i].parent_a;
+    EXPECT_EQ(finished.count(left), 0u) << "left parent " << left
+                                        << " reappears at " << i;
+    if (i + 1 == candidates.size() || candidates[i + 1].parent_a != left) {
+      finished.insert(left);
+    }
+  }
+
+  // The order depends only on which sets the level holds: a shuffled copy
+  // yields the same candidates with the same parent sets, in the same order.
+  std::vector<AttributeSet> shuffled = level;
+  std::mt19937 rng(7);
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  ASSERT_NE(shuffled, level);
+  const std::vector<LevelCandidate> again = GenerateNextLevel(shuffled);
+  ASSERT_EQ(again.size(), candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(again[i].set, candidates[i].set) << i;
+    EXPECT_EQ(shuffled[again[i].parent_a], level[candidates[i].parent_a]) << i;
+    EXPECT_EQ(shuffled[again[i].parent_b], level[candidates[i].parent_b]) << i;
+  }
 }
 
 }  // namespace

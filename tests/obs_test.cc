@@ -498,7 +498,7 @@ TEST(RunReportTest, IsWellFormedAndMirrorsStats) {
   const auto contains = [&](const std::string& needle) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   };
-  contains("\"schema_version\":4");
+  contains("\"schema_version\":5");
   contains("\"fingerprint\":\"crc32:deadbeef\"");
   contains("\"checkpoint\":{");
   contains("\"resumable\":false");
@@ -516,6 +516,8 @@ TEST(RunReportTest, IsWellFormedAndMirrorsStats) {
   // Schema 4: level rows carry wall and worker seconds but no "speedup" — a
   // run cannot know its speedup without a run at another thread count.
   EXPECT_EQ(text.find("\"speedup\""), std::string::npos);
+  // Schema 5: no "pooled_bytes" gauge — the driver attaches no buffer pool.
+  EXPECT_EQ(text.find("\"pooled_bytes\""), std::string::npos);
   contains("\"histograms\"");
   contains("\"product_classes\"");
 

@@ -221,6 +221,33 @@ TEST(PartitionProductTest, SteadyStateProductsAreAllocationFree) {
   EXPECT_GT(pool.stats().reuses, 0);
 }
 
+TEST(PartitionProductTest, UnpooledOutputIsExactSize) {
+  // Without a pool the product is copied out of the staging arrays at its
+  // exact size, so a stored partition holds no slack capacity and its
+  // EstimatedBytes() is exactly its contents.
+  Relation relation = PaperFigure1Relation();
+  PartitionProduct product(relation.num_rows());
+  int64_t with_rows = 0;
+  for (int a = 0; a < relation.num_columns(); ++a) {
+    for (int b = a + 1; b < relation.num_columns(); ++b) {
+      const StrippedPartition result =
+          product
+              .Multiply(PartitionBuilder::ForAttribute(relation, a),
+                        PartitionBuilder::ForAttribute(relation, b))
+              .value();
+      const std::vector<int32_t>& rows = result.row_ids();
+      const std::vector<int32_t>& offsets = result.class_offsets();
+      EXPECT_EQ(rows.capacity(), rows.size()) << a << "," << b;
+      EXPECT_EQ(offsets.capacity(), offsets.size()) << a << "," << b;
+      EXPECT_EQ(result.EstimatedBytes(),
+                static_cast<int64_t>(4 * (rows.size() + offsets.size())))
+          << a << "," << b;
+      with_rows += rows.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(with_rows, 0);
+}
+
 TEST(PartitionProductTest, AllocationCounterWithoutPool) {
   Relation relation = PaperFigure1Relation();
   PartitionProduct product(relation.num_rows());

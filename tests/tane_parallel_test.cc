@@ -59,10 +59,9 @@ void ExpectIdenticalResults(const DiscoveryResult& expected,
   EXPECT_EQ(expected.stats.partition_products,
             actual.stats.partition_products);
   EXPECT_EQ(expected.stats.sets_generated, actual.stats.sets_generated);
-  // The window planner assigns pooled buffers to candidates in node order —
-  // a pure function of the candidate list — so the run-wide allocation
-  // count cannot drift with the thread count (it used to, when workers
-  // warmed their slot caches in arrival order).
+  // Every product allocates its own exact-size output and each worker's
+  // scratch is sized at construction, so the run-wide allocation count is
+  // a pure function of the search and cannot drift with the thread count.
   EXPECT_EQ(expected.stats.product_allocations,
             actual.stats.product_allocations);
 }
@@ -201,6 +200,31 @@ TEST(TaneParallelCancelTest, MidRunCancelUnderEightThreadsIsPrefixCorrect) {
   ExpectPrefixOf(*result, full);
   if (result->complete()) {
     EXPECT_EQ(result->num_fds(), full.num_fds());
+  }
+}
+
+// Every product allocates its exact-size output and worker scratch is sized
+// at construction, so the run-wide allocation count is a pure function of
+// the search, not of how many workers ran it. A per-worker cache warmed in
+// arrival order, such as a buffer pool slot, would break this.
+TEST(BufferPoolTest, ProductAllocationsDoNotDriftWithThreadCount) {
+  StatusOr<Relation> relation = MakePaperDataset(
+      PaperDataset::kWisconsinBreastCancer, /*rows=*/200, /*seed=*/42);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  int64_t serial_allocations = -1;
+  for (int threads : {1, 2, 8}) {
+    TaneConfig config;
+    config.num_threads = threads;
+    config.parallel_min_window_rows = 0;  // force the window scheduler
+    StatusOr<DiscoveryResult> result = Tane::Discover(*relation, config);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->stats.partition_products, 0) << threads;
+    if (serial_allocations < 0) {
+      serial_allocations = result->stats.product_allocations;
+    } else {
+      EXPECT_EQ(result->stats.product_allocations, serial_allocations)
+          << threads << " threads";
+    }
   }
 }
 

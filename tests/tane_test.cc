@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 
@@ -208,6 +209,22 @@ TEST(TaneTest, DuplicateRowsAreHandled) {
   EXPECT_TRUE(ContainsFd(result->fds, AttributeSet::Of({0}), 1));
   EXPECT_TRUE(ContainsFd(result->fds, AttributeSet::Of({1}), 0));
   EXPECT_TRUE(result->keys.empty());
+}
+
+TEST(TaneTest, BlockOrderLetsProductsReuseTheLeftParentLabels) {
+  // Candidates come block by block, so runs of consecutive candidates share
+  // their left parent and a 1-thread run relabels it once per run: about
+  // half of all products skip their labeling pass.
+  StatusOr<Relation> relation =
+      MakePaperDataset(PaperDataset::kHepatitis, /*rows=*/155, /*seed=*/42);
+  ASSERT_TRUE(relation.ok()) << relation.status().ToString();
+  StatusOr<DiscoveryResult> result = Tane::Discover(*relation);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const DiscoveryStats& stats = result->stats;
+  ASSERT_GT(stats.partition_products, 1000);
+  EXPECT_GE(static_cast<double>(stats.product_label_reuses),
+            0.4 * static_cast<double>(stats.partition_products))
+      << stats.product_label_reuses << " of " << stats.partition_products;
 }
 
 TEST(TaneTest, OutputIsCanonicallySorted) {

@@ -314,8 +314,8 @@ def check_hw_object(doc):
 
 def check_report(path, stats_path):
     doc = load(path)
-    if doc.get("schema_version") != 4:
-        fail(f"{path}: schema_version != 4")
+    if doc.get("schema_version") != 5:
+        fail(f"{path}: schema_version != 5")
     for key in ("config", "dataset", "result", "timing", "metrics",
                 "histograms", "levels", "checkpoint", "hw", "trace"):
         if key not in doc:
