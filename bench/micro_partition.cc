@@ -14,7 +14,6 @@
 #include "obs/report.h"
 #include "partition/buffer_pool.h"
 #include "partition/error.h"
-#include "partition/kernels/kernels.h"
 #include "partition/partition_builder.h"
 #include "partition/product.h"
 #include "relation/transforms.h"
@@ -141,13 +140,7 @@ BENCHMARK(BM_StrippedVsUnstrippedProduct)->Arg(0)->Arg(1);
 // the singleton-stripped fraction and by every reused labeling, which is
 // how the old artifact claimed an implausible ~400M rows/sec. Both are kept
 // so the two accountings stay comparable across artifacts.
-int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
-  const StatusOr<KernelKind> kind = ParseKernelKind(kernel_name);
-  if (!kind.ok()) {
-    TANE_LOG(Error) << "--kernel: " << kind.status().ToString();
-    return 1;
-  }
-  const KernelOps* const kernel = ResolveKernel(*kind);
+int WriteMicroJson(const std::string& path) {
   constexpr int64_t kRows = 5000;
   constexpr int kMeasureReps = 5;
 
@@ -168,10 +161,9 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
   }
   {
     // The paper's ×n row-scaling construction (Figure 4): 20 suffixed
-    // copies of the Hepatitis stand-in give a 100k-row relation whose probe
-    // table outgrows the cache — the regime the prefetched/radix paths
-    // exist for. Fewer repeats bound the wall time; each sweep already
-    // walks ~40M member rows.
+    // copies of the Hepatitis stand-in give a 100k-row relation, the
+    // largest operands measured here (a 400 KB probe table). Fewer repeats
+    // bound the wall time; each sweep already walks ~40M member rows.
     StatusOr<Relation> base = MakePaperDataset(PaperDataset::kHepatitis, kRows);
     TANE_CHECK(base.ok()) << base.status().ToString();
     StatusOr<Relation> scaled = ConcatenateCopies(*base, /*copies=*/20);
@@ -183,7 +175,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
   bench::JsonWriter json;
   json.BeginObject();
   json.Key("benchmark").Value("micro_partition");
-  json.Key("kernel").Value(kernel->name);
   json.Key("datasets").BeginArray();
   for (const MicroDataset& micro : datasets) {
     const Relation& relation = micro.relation;
@@ -196,7 +187,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
     PartitionBufferPool pool(/*num_slots=*/1);
     PartitionProduct product(relation.num_rows());
     product.set_buffer_pool(&pool, 0);
-    product.set_kernel(kernel);
     // One sweep of every attribute pair; results recycle into the pool so
     // later products reuse their buffers, as discovery runs do via the
     // partition store. The left operand's token (i + 1, mirroring the
@@ -272,7 +262,6 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
     json.Key("name").Value(micro.name);
     json.Key("rows").Value(relation.num_rows());
     json.Key("columns").Value(relation.num_columns());
-    json.Key("kernel").Value(kernel->name);
     json.Key("products").Value(products);
     json.Key("seconds").Value(seconds);
     json.Key("products_per_sec")
@@ -309,11 +298,9 @@ int WriteMicroJson(const std::string& path, const std::string& kernel_name) {
 
 // Custom main instead of BENCHMARK_MAIN so the harness-wide
 // --scale/--seed/--json flags are accepted (sizes are fixed; --json selects
-// the machine-readable product-throughput measurement, --kernel pins the
-// dispatch kernel it measures).
+// the machine-readable product-throughput measurement).
 int main(int argc, char** argv) {
   std::string json_path;
-  std::string kernel_name = "auto";
   std::vector<char*> kept;
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -322,10 +309,6 @@ int main(int argc, char** argv) {
     }
     if (arg.rfind("--json=", 0) == 0) {
       json_path = std::string(arg.substr(7));
-      continue;
-    }
-    if (arg.rfind("--kernel=", 0) == 0) {
-      kernel_name = std::string(arg.substr(9));
       continue;
     }
     kept.push_back(argv[i]);
@@ -337,6 +320,6 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!json_path.empty()) return tane::WriteMicroJson(json_path, kernel_name);
+  if (!json_path.empty()) return tane::WriteMicroJson(json_path);
   return 0;
 }

@@ -1,7 +1,5 @@
 #include "core/config.h"
 
-#include "partition/kernels/kernels.h"
-
 namespace tane {
 
 Status TaneConfig::Validate() const {
@@ -21,11 +19,6 @@ Status TaneConfig::Validate() const {
     return Status::InvalidArgument(
         "parallel_min_window_rows must be >= -1, got " +
         std::to_string(parallel_min_window_rows));
-  }
-  if (!ParseKernelKind(kernel).ok()) {
-    return Status::InvalidArgument(
-        "kernel must be one of auto, scalar, avx2, neon; got \"" + kernel +
-        "\"");
   }
   if (run_controller != nullptr && run_controller->memory_budget_bytes() < 0) {
     return Status::InvalidArgument("memory budget must be >= 0 bytes");

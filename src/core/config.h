@@ -128,16 +128,6 @@ struct TaneConfig {
   /// never results.
   int64_t parallel_min_window_rows = -1;
 
-  /// Which data-parallel kernel the partition-product and error-scan hot
-  /// loops dispatch to: "auto" (the default; the widest ISA the running CPU
-  /// supports), "scalar", "avx2", or "neon". Explicitly requesting a kernel
-  /// the hardware cannot run falls back to scalar with a warning. Every
-  /// kernel computes the same integer stream, so discovery output is
-  /// bit-identical across values (enforced by
-  /// tests/kernel_equivalence_test.cc) — like num_threads, this is a
-  /// scheduling knob and not part of the checkpoint config fingerprint.
-  std::string kernel = "auto";
-
   StorageMode storage = StorageMode::kMemory;
 
   /// Spill directory for StorageMode::kDisk and the kAuto fallback. Empty

@@ -56,8 +56,6 @@ struct DiscoveryStats {
   int64_t product_label_reuses = 0;
   /// Member rows walked by error-measure scans across all workers.
   int64_t g3_rows_scanned = 0;
-  /// The dispatched data-parallel kernel ("scalar", "avx2", "neon").
-  std::string kernel;
   /// Keys found (sets removed by key pruning).
   int64_t keys_found = 0;
   /// Peak bytes of partitions resident in memory at once.

@@ -99,7 +99,7 @@ struct RunSnapshot {
 /// Hash of every TaneConfig field that can change discovery *output*:
 /// epsilon, measure, max_lhs_size, the pruning toggles, exact-error policy,
 /// stripped partitions, and the product-vs-fold strategy. Execution knobs
-/// (threads, storage, kernel, observability) are excluded by design so a
+/// (threads, storage, observability) are excluded by design so a
 /// run can resume on different hardware with a different storage plan.
 uint32_t ConfigFingerprint(const TaneConfig& config);
 

@@ -289,19 +289,12 @@ class TaneRun {
         tracer_(config.tracer) {
     store_->set_metrics(&metrics_);
     store_->set_tracer(tracer_);
-    // Resolve the dispatch kernel once (config validation already vetted
-    // the name) and hand the same immutable ops table to every worker's
-    // product and error scratch.
-    kernel_ = ResolveKernel(ParseKernelKind(config.kernel).value());
-    metrics_.SetGauge(obs::kKernelKind, static_cast<int64_t>(kernel_->kind));
     workers_.reserve(config.num_threads);
     for (int worker = 0; worker < config.num_threads; ++worker) {
       workers_.push_back(
           std::make_unique<WorkerState>(store_.get(), num_rows_, worker));
       workers_.back()->product.set_metrics(&metrics_, worker);
-      workers_.back()->product.set_kernel(kernel_);
       workers_.back()->g3.set_metrics(&metrics_, worker);
-      workers_.back()->g3.set_kernel(kernel_);
     }
     if (tracer_ != nullptr) {
       // Per-worker drain slices nest under whichever phase span encloses
@@ -634,9 +627,6 @@ class TaneRun {
   obs::MetricsRegistry metrics_;
   obs::Tracer* const tracer_;
   std::unique_ptr<obs::ProgressMonitor> monitor_;
-  // The dispatch kernel every worker's product and g3 scratch uses;
-  // resolved once from config.kernel in the ctor (process-lifetime table).
-  const KernelOps* kernel_ = nullptr;
   std::vector<std::unique_ptr<WorkerState>> workers_;
   DiscoveryStats stats_;
 
@@ -1434,10 +1424,6 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   Status window_status;
   {
     obs::SpanGuard span(tracer_, "products", &metrics_);
-    // Kernel attribution is per-span, not per-dispatch: a counter read per
-    // product would cost two syscalls on the hottest path. The dispatched
-    // kernel is constant for the run, so the span arg loses nothing.
-    span.AddArg("kernel_kind", static_cast<int64_t>(kernel_->kind));
     window_status = RunLevelWindow(
         in,
         [&](WorkerState* w, int64_t i) {
@@ -1611,7 +1597,6 @@ Status TaneRun::Run(DiscoveryResult* result) {
       // The window already ran this level's validity tests; what remains is
       // the serial in-node-order merge of emissions and C⁺ updates.
       obs::SpanGuard span(tracer_, "validity", &metrics_);
-      span.AddArg("kernel_kind", static_cast<int64_t>(kernel_->kind));
       TANE_RETURN_IF_ERROR(MergeOutcomes(&current, result));
     }
     {
@@ -1678,7 +1663,6 @@ Status TaneRun::Run(DiscoveryResult* result) {
   stats_.product_rows_scanned = snapshot.counter(obs::kProductRowsScanned);
   stats_.product_label_reuses = snapshot.counter(obs::kProductLabelReuses);
   stats_.g3_rows_scanned = snapshot.counter(obs::kG3RowsScanned);
-  stats_.kernel = std::string(KernelKindName(kernel_->kind));
   stats_.keys_found = snapshot.counter(obs::kKeysFound);
   stats_.peak_partition_bytes = snapshot.gauge(obs::kPeakResidentBytes);
   stats_.checkpoint_writes = snapshot.counter(obs::kCheckpointWrites);

@@ -57,7 +57,6 @@ std::string_view GaugeName(GaugeId id) {
     case kDegradedToDisk:     return "degraded_to_disk";
     case kCheckpointLastLevel: return "checkpoint_last_level";
     case kResumedFromLevel:   return "resumed_from_level";
-    case kKernelKind:         return "kernel_kind";
     case kGaugeCount:         break;
   }
   return "unknown_gauge";

@@ -69,7 +69,6 @@ enum GaugeId : int {
   kDegradedToDisk,      ///< 1 once a kAuto store spilled mid-run
   kCheckpointLastLevel,  ///< deepest level captured by a durable snapshot
   kResumedFromLevel,    ///< snapshot level this run restarted from (0: fresh)
-  kKernelKind,          ///< dispatched KernelKind (kernels.h enum value)
   kGaugeCount,
 };
 

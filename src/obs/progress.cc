@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "partition/kernels/kernels.h"
 #include "util/logging.h"
 #include "util/mutex.h"
 
@@ -117,9 +116,6 @@ std::string ProgressMonitor::FormatLine(std::string_view reason) {
   line += " products=" + std::to_string(snap.counter(kPartitionProducts));
   line += " fds=" + std::to_string(snap.counter(kFdsEmitted));
   AppendF(&line, " products_per_sec=%.0f", products_per_second);
-  line += " kernel=";
-  line += KernelKindName(
-      static_cast<KernelKind>(snap.gauge(kKernelKind)));
   AppendF(&line, " resident_mb=%.1f",
           static_cast<double>(snap.gauge(kResidentBytes)) / (1024.0 * 1024.0));
   AppendF(&line, " peak_mb=%.1f",

@@ -83,13 +83,9 @@ void WriteMetricsObject(const MetricsSnapshot& snapshot, JsonWriter* json) {
   json->EndObject();
 }
 
-void WriteHwObject(const MetricsSnapshot& snapshot,
-                   const std::string& kernel, JsonWriter* json) {
+void WriteHwObject(const MetricsSnapshot& snapshot, JsonWriter* json) {
   json->BeginObject();
   json->Key("backend").Value(snapshot.hw_backend);
-  // One run dispatches one kernel; naming it here is what makes the phase
-  // rows per-kernel attributable across runs/artifacts.
-  json->Key("kernel").Value(kernel);
   json->Key("phases").BeginArray();
   const HwPhaseSnapshot* run_phase = nullptr;
   const HwPhaseSnapshot* products_phase = nullptr;
@@ -140,8 +136,9 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   // v2 added the "checkpoint" block and the "resumable" result field; v3
   // the "hw" hardware-counter block and the "trace" ring status; v4 drops
   // the partition-interning cache's config flag and metrics, and the
-  // levels' "speedup" field; v5 drops the "pooled_bytes" gauge.
-  json->Key("schema_version").Value(5);
+  // levels' "speedup" field; v5 drops the "pooled_bytes" gauge; v6 drops
+  // "config.kernel" and "hw.kernel" with the kernel dispatch.
+  json->Key("schema_version").Value(6);
   json->Key("tool").Value("tane");
 
   json->Key("config").BeginObject();
@@ -149,9 +146,6 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   json->Key("measure").Value(MeasureName(config.measure));
   json->Key("max_lhs_size").Value(config.max_lhs_size);
   json->Key("num_threads").Value(config.num_threads);
-  // The requested kernel; the dispatched one (post-fallback) is
-  // result.stats.kernel, surfaced via the kernel_kind gauge.
-  json->Key("kernel").Value(config.kernel);
   json->Key("storage").Value(StorageName(config.storage));
   json->Key("use_rhs_plus_pruning").Value(config.use_rhs_plus_pruning);
   json->Key("use_key_pruning").Value(config.use_key_pruning);
@@ -206,7 +200,7 @@ void WriteRunReport(const TaneConfig& config, const DiscoveryResult& result,
   WriteHistogramsObject(result.metrics, json);
 
   json->Key("hw");
-  WriteHwObject(result.metrics, stats.kernel, json);
+  WriteHwObject(result.metrics, json);
 
   // Ring-buffer status of the tracer this run used (if any): a nonzero
   // dropped count means the trace file is a truncated window, and readers

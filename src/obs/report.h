@@ -35,12 +35,11 @@ void WriteGaugesObject(const MetricsSnapshot& snapshot, JsonWriter* json);
 void WriteHistogramsObject(const MetricsSnapshot& snapshot, JsonWriter* json);
 /// {"counters":{...},"gauges":{...}} — histograms stay a sibling object.
 void WriteMetricsObject(const MetricsSnapshot& snapshot, JsonWriter* json);
-/// {"backend","kernel","phases":[...],"derived":{...}} — the per-phase
+/// {"backend","phases":[...],"derived":{...}} — the per-phase
 /// hardware-counter aggregates plus the derived IPC / miss-rate ratios.
-void WriteHwObject(const MetricsSnapshot& snapshot,
-                   const std::string& kernel, JsonWriter* json);
+void WriteHwObject(const MetricsSnapshot& snapshot, JsonWriter* json);
 
-/// Serializes the machine-readable run report (schema_version 5): config,
+/// Serializes the machine-readable run report (schema_version 6): config,
 /// dataset identity, result summary, timing breakdown, full metric dump,
 /// histogram summaries, hardware-counter aggregates, trace-ring status,
 /// and the per-level table. The per-level rows carry exactly the values

@@ -33,7 +33,6 @@ G3Calculator::G3Calculator(int64_t num_rows)
   // (touched_).
   counts_.assign(num_rows + 1, 0);
   touched_.assign(num_rows + 1, 0);
-  groups_.assign(num_rows, 0);
 }
 
 Status G3Calculator::PrepareAndLabel(const StrippedPartition& lhs,
@@ -52,7 +51,6 @@ Status G3Calculator::PrepareAndLabel(const StrippedPartition& lhs,
     probe_.assign(num_rows_, -1);
     counts_.assign(num_rows_ + 1, 0);
     touched_.assign(num_rows_ + 1, 0);
-    groups_.assign(num_rows_, 0);
     probe_base_ = 0;
   }
 
@@ -66,9 +64,7 @@ Status G3Calculator::PrepareAndLabel(const StrippedPartition& lhs,
     probe_base_ = 0;
   }
   *base = static_cast<int32_t>(probe_base_);
-  kernel_->label_rows(probe_.data(), lhs_with_rhs.row_ids().data(),
-                      lhs_with_rhs.class_offsets().data(), fine_classes,
-                      *base);
+  lhs_with_rhs.LabelRows(probe_.data(), *base);
   probe_base_ += fine_classes;
   return Status::OK();
 }
@@ -94,21 +90,18 @@ StatusOr<int64_t> G3Calculator::RemovalCount(
   // is 1, the initial value), and the touched list resets it with the rest.
   const int32_t dummy = static_cast<int32_t>(lhs_with_rhs.num_classes());
   int64_t removals = 0;
-  const std::vector<int32_t>& coarse_rows = lhs.row_ids();
+  const int32_t* const coarse_rows = lhs.row_ids().data();
+  const int32_t* const probe = probe_.data();
   int32_t* const counts = counts_.data();
   int32_t* const touched = touched_.data();
-  int32_t* const groups = groups_.data();
   for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
-    const int32_t begin = lhs.class_begin(cls);
-    const int32_t class_rows = lhs.class_end(cls) - begin;
-    kernel_->gather_groups(probe_.data(), coarse_rows.data() + begin,
-                           class_rows, base, groups);
+    const int32_t end = lhs.class_end(cls);
     // The largest subclass has size >= 1 even if every row of this class is
     // a singleton in π_{X∪A}.
     int32_t largest = 1;
     int64_t touched_count = 0;
-    for (int32_t i = 0; i < class_rows; ++i) {
-      const int32_t g = groups[i];
+    for (int32_t i = lhs.class_begin(cls); i < end; ++i) {
+      const int32_t g = probe[coarse_rows[i]] - base;
       const int32_t valid = static_cast<int32_t>(g >= 0);
       const int32_t idx = valid ? g : dummy;
       const int32_t cnt = counts[idx] + 1;
@@ -146,20 +139,17 @@ StatusOr<int64_t> G3Calculator::ViolatingPairCount(
   // zero, so only stored subclasses need counting — the skip branch stays,
   // since the correction sum must not see the dummy slot.
   int64_t violating = 0;
-  const std::vector<int32_t>& coarse_rows = lhs.row_ids();
+  const int32_t* const coarse_rows = lhs.row_ids().data();
+  const int32_t* const probe = probe_.data();
   int32_t* const counts = counts_.data();
   int32_t* const touched = touched_.data();
-  int32_t* const groups = groups_.data();
   for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
     const int64_t size = lhs.class_size(cls);
     violating += size * (size - 1);
-    const int32_t begin = lhs.class_begin(cls);
-    const int32_t class_rows = lhs.class_end(cls) - begin;
-    kernel_->gather_groups(probe_.data(), coarse_rows.data() + begin,
-                           class_rows, base, groups);
+    const int32_t end = lhs.class_end(cls);
     int64_t touched_count = 0;
-    for (int32_t i = 0; i < class_rows; ++i) {
-      const int32_t fine_cls = groups[i];
+    for (int32_t i = lhs.class_begin(cls); i < end; ++i) {
+      const int32_t fine_cls = probe[coarse_rows[i]] - base;
       if (fine_cls < 0) continue;
       const int32_t cnt = counts[fine_cls] + 1;
       counts[fine_cls] = cnt;
@@ -197,21 +187,18 @@ StatusOr<int64_t> G3Calculator::ViolatingRowCount(
   // with the rows of the other subclasses; classes that stay whole
   // contribute nothing.
   int64_t violating = 0;
-  const std::vector<int32_t>& coarse_rows = lhs.row_ids();
+  const int32_t* const coarse_rows = lhs.row_ids().data();
+  const int32_t* const probe = probe_.data();
   int32_t* const counts = counts_.data();
   int32_t* const touched = touched_.data();
-  int32_t* const groups = groups_.data();
   for (int64_t cls = 0; cls < lhs.num_classes(); ++cls) {
     const int64_t size = lhs.class_size(cls);
-    const int32_t begin = lhs.class_begin(cls);
-    const int32_t class_rows = lhs.class_end(cls) - begin;
-    kernel_->gather_groups(probe_.data(), coarse_rows.data() + begin,
-                           class_rows, base, groups);
+    const int32_t end = lhs.class_end(cls);
     // The class stays whole iff some subclass has the full class size.
     bool whole = false;
     int64_t touched_count = 0;
-    for (int32_t i = 0; i < class_rows; ++i) {
-      const int32_t fine_cls = groups[i];
+    for (int32_t i = lhs.class_begin(cls); i < end; ++i) {
+      const int32_t fine_cls = probe[coarse_rows[i]] - base;
       if (fine_cls < 0) continue;
       const int32_t cnt = counts[fine_cls] + 1;
       counts[fine_cls] = cnt;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "partition/kernels/kernels.h"
 #include "partition/stripped_partition.h"
 #include "util/status.h"
 
@@ -46,12 +45,11 @@ G3Bounds BoundG3RemovalCount(const StrippedPartition& lhs,
 /// (paper §2): for every class c of π_X the rows outside the largest
 /// π_{X∪A}-subclass of c must be removed. Structurally a counting pass —
 /// and implemented as one: the labeling pass is an epoch-tagged scatter
-/// (no reset pass between calls, like PartitionProduct's probe table), the
-/// counting pass gathers labels through the dispatch kernel into a flat
-/// SoA stream (SIMD where available), and the per-class accumulation is
-/// branch-free — rows that are singletons in π_{X∪A} are predicated into a
-/// dummy counter slot instead of branching. Every kernel produces the same
-/// counts, so validity decisions are bit-identical across kernels.
+/// (StrippedPartition::LabelRows, with no reset pass between calls, like
+/// PartitionProduct's probe table), and the counting pass reads each row's
+/// π_{X∪A} class straight from the probe table. The per-class accumulation
+/// is branch-free — rows that are singletons in π_{X∪A} are predicated into
+/// a dummy counter slot instead of branching.
 ///
 /// The scratch arrays are reused across calls; construction takes the
 /// relation's row count, but partitions over more rows simply grow the
@@ -63,12 +61,6 @@ G3Bounds BoundG3RemovalCount(const StrippedPartition& lhs,
 class G3Calculator {
  public:
   explicit G3Calculator(int64_t num_rows);
-
-  /// Selects the dispatch kernel for the gather pass. Defaults to
-  /// DefaultKernel(). Not owned.
-  void set_kernel(const KernelOps* kernel) { kernel_ = kernel; }
-
-  const KernelOps* kernel() const { return kernel_; }
 
   /// Mirrors the member rows walked by every scan into `metrics`
   /// (kG3RowsScanned), on shard `shard`. Not owned; nullptr detaches.
@@ -136,10 +128,7 @@ class G3Calculator {
   // Touched counter slots of the current π_X class; written branch-free,
   // so sized rather than push_back-grown.
   std::vector<int32_t> touched_;
-  // SoA class-label stream for the current π_X class (kernel gather).
-  std::vector<int32_t> groups_;
 
-  const KernelOps* kernel_ = DefaultKernel();
   obs::MetricsRegistry* metrics_ = nullptr;
   int metrics_shard_ = 0;
   int64_t rows_scanned_ = 0;

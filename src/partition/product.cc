@@ -8,64 +8,29 @@
 namespace tane {
 namespace {
 
-// Per-`b`-class scatter loops for pass 2 of Multiply. All variants are
-// branch-free per row: invalid rows are predicated onto the trash bucket
-// with one select, every store unconditional. The scratch arrays are
-// genuinely disjoint, so the pointers are __restrict-qualified — without
-// it the compiler must order every cursor load after the previous bucket
-// store and the loop cannot pipeline.
-//
-// kGathered selects the group source: the kernel-gathered SoA label stream
-// (large-probe regime, SIMD gather + prefetch) or direct probe-table loads
-// (cache-resident regime, where the extra pass through groups[] costs more
-// than it saves).
-//
-// kChained breaks the scatter's store-to-load forwarding chain: the
-// last-hit group's counter lives in registers and is flushed to memory one
-// iteration late, so a run of rows landing in the same bucket advances a
-// register instead of round-tripping through the store buffer (~5 cycles
-// per row on current x86 cores). The flush-late protocol is safe because
-// the only memory read that can observe the stale value — loading the
-// counter of the not-yet-flushed group — is exactly the case the select
-// replaces with the register. Worth two extra ops per row only when
-// consecutive rows collide often, i.e. when `a` has few classes; with many
-// classes the plain loop wins. Chained or not, the stores and final state
-// are identical, so the choice is invisible in the output.
+// Per-`b`-class scatter loops for pass 2 of Multiply. Both are branch-free
+// per row: invalid rows are predicated onto the trash bucket with one
+// select, every store unconditional. The scratch arrays are genuinely
+// disjoint, so the pointers are __restrict-qualified — without it the
+// compiler must order every cursor load after the previous bucket store and
+// the loop cannot pipeline.
 
 // Cursor variant: cursor[g] is the next free slot of bucket g (initialized
 // to the bucket base); bucket fill levels are recovered from cursor
 // positions by the caller's index-order emission scan, so the row loop
 // carries no touched-list bookkeeping at all.
-template <bool kGathered, bool kChained>
 void ScatterWithCursors(const int32_t* __restrict rows, int32_t begin,
                         int32_t end, const int32_t* __restrict probe,
-                        int32_t base, const int32_t* __restrict groups,
-                        int32_t trash_group, int32_t* __restrict cursor,
+                        int32_t base, int32_t trash_group,
+                        int32_t* __restrict cursor,
                         int32_t* __restrict bucket_data) {
-  if constexpr (kChained) {
-    int32_t last_gs = trash_group;
-    int32_t last_cur = cursor[trash_group];
-    for (int32_t i = begin; i < end; ++i) {
-      const int32_t row = rows[i];
-      const int32_t g = kGathered ? groups[i] : probe[row] - base;
-      const int32_t gs = g >= 0 ? g : trash_group;
-      const int32_t mem_cur = cursor[gs];
-      cursor[last_gs] = last_cur;
-      const int32_t cur = gs == last_gs ? last_cur : mem_cur;
-      bucket_data[cur] = row;
-      last_gs = gs;
-      last_cur = cur + 1;
-    }
-    cursor[last_gs] = last_cur;
-  } else {
-    for (int32_t i = begin; i < end; ++i) {
-      const int32_t row = rows[i];
-      const int32_t g = kGathered ? groups[i] : probe[row] - base;
-      const int32_t gs = g >= 0 ? g : trash_group;
-      const int32_t cur = cursor[gs];
-      bucket_data[cur] = row;
-      cursor[gs] = cur + 1;
-    }
+  for (int32_t i = begin; i < end; ++i) {
+    const int32_t row = rows[i];
+    const int32_t g = probe[row] - base;
+    const int32_t gs = g >= 0 ? g : trash_group;
+    const int32_t cur = cursor[gs];
+    bucket_data[cur] = row;
+    cursor[gs] = cur + 1;
   }
 }
 
@@ -74,53 +39,26 @@ void ScatterWithCursors(const int32_t* __restrict rows, int32_t begin,
 // counts bucket fill levels and the touched list records first-seen groups
 // (unconditional store, predicated advance), preserving the original
 // first-seen emission order. Returns the touched count.
-template <bool kGathered, bool kChained>
 int64_t ScatterWithCounts(const int32_t* __restrict rows, int32_t begin,
                           int32_t end, const int32_t* __restrict probe,
-                          int32_t base, const int32_t* __restrict groups,
-                          int32_t trash_group,
+                          int32_t base, int32_t trash_group,
                           const int32_t* __restrict bucket_base,
                           int32_t* __restrict group_size,
                           int32_t* __restrict bucket_data,
                           int32_t* __restrict touched) {
   int64_t touched_count = 0;
-  if constexpr (kChained) {
-    int32_t last_gs = trash_group;
-    int32_t last_count = group_size[trash_group];
-    for (int32_t i = begin; i < end; ++i) {
-      const int32_t row = rows[i];
-      const int32_t g = kGathered ? groups[i] : probe[row] - base;
-      const int32_t gs = g >= 0 ? g : trash_group;
-      const int32_t mem_count = group_size[gs];
-      group_size[last_gs] = last_count;
-      const int32_t count = gs == last_gs ? last_count : mem_count;
-      bucket_data[bucket_base[gs] + count] = row;
-      touched[touched_count] = gs;
-      touched_count += static_cast<int64_t>(count == 0);
-      last_gs = gs;
-      last_count = count + 1;
-    }
-    group_size[last_gs] = last_count;
-  } else {
-    for (int32_t i = begin; i < end; ++i) {
-      const int32_t row = rows[i];
-      const int32_t g = kGathered ? groups[i] : probe[row] - base;
-      const int32_t gs = g >= 0 ? g : trash_group;
-      const int32_t count = group_size[gs];
-      bucket_data[bucket_base[gs] + count] = row;
-      group_size[gs] = count + 1;
-      touched[touched_count] = gs;
-      touched_count += static_cast<int64_t>(count == 0);
-    }
+  for (int32_t i = begin; i < end; ++i) {
+    const int32_t row = rows[i];
+    const int32_t g = probe[row] - base;
+    const int32_t gs = g >= 0 ? g : trash_group;
+    const int32_t count = group_size[gs];
+    bucket_data[bucket_base[gs] + count] = row;
+    group_size[gs] = count + 1;
+    touched[touched_count] = gs;
+    touched_count += static_cast<int64_t>(count == 0);
   }
   return touched_count;
 }
-
-// Collisions are frequent enough for the flush-late chain to pay off when
-// rows outnumber buckets by a wide margin; past this many `a` classes the
-// plain loop's two fewer ops per row win. Empirical knee on the bench
-// datasets (few-class paper attributes vs many-class near-key attributes).
-constexpr int64_t kChainedMaxClasses = 64;
 
 }  // namespace
 
@@ -134,10 +72,8 @@ PartitionProduct::PartitionProduct(int64_t num_rows)
   // allocations-per-product thread-count-invariant (and 0 in steady state).
   group_size_.assign(num_rows + 2, 0);
   touched_.assign(num_rows + 2, 0);
-  groups_.assign(num_rows, 0);
   bucket_data_.resize(2 * num_rows);
   ResizeStaging();
-  WarmRadixScratch();
 }
 
 void PartitionProduct::ResizeStaging() {
@@ -174,19 +110,6 @@ void PartitionProduct::CountAllocation() {
   }
 }
 
-void PartitionProduct::WarmRadixScratch() {
-  // Pure function of num_rows_ and the radix threshold, never of the call
-  // sequence: workers constructed alike stay allocation-identical.
-  if (radix_.ShouldUse(num_rows_, num_rows_)) {
-    radix_.EnsureCapacity(num_rows_);
-  }
-}
-
-void PartitionProduct::set_radix_min_probe_bytes_for_testing(int64_t bytes) {
-  radix_.set_min_probe_bytes_for_testing(bytes);
-  WarmRadixScratch();
-}
-
 StatusOr<StrippedPartition> PartitionProduct::Multiply(
     const StrippedPartition& a, const StrippedPartition& b,
     uint64_t a_token) {
@@ -206,12 +129,10 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
     // labels, so token reuse is off until the next labeling pass.
     num_rows_ = a.num_rows();
     probe_.assign(num_rows_, -1);
-    groups_.assign(num_rows_, 0);
     ResizeStaging();
     probe_base_ = 0;
     labeled_classes_ = 0;
     last_a_token_ = 0;
-    WarmRadixScratch();
     CountAllocation();
   }
   const int32_t min_size = a.stripped() ? 2 : 1;
@@ -230,10 +151,6 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   if (bucket_data_.size() <
       a.row_ids().size() + b.row_ids().size()) {
     bucket_data_.resize(a.row_ids().size() + b.row_ids().size());
-    CountAllocation();
-  }
-  if (groups_.size() < b.row_ids().size()) {
-    groups_.assign(b.row_ids().size(), 0);
     CountAllocation();
   }
 
@@ -259,9 +176,7 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
       probe_.assign(probe_.size(), -1);
       probe_base_ = 0;
     }
-    radix_.LabelRows(*kernel_, probe, num_rows_, a_rows.data(),
-                     a.class_offsets().data(), a_classes,
-                     static_cast<int32_t>(probe_base_));
+    a.LabelRows(probe, static_cast<int32_t>(probe_base_));
     labeled_classes_ = a_classes;
     last_a_token_ = a_token;
     rows_scanned += static_cast<int64_t>(a_rows.size());
@@ -287,27 +202,17 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   // state is exactly as if invalid rows were skipped. Qualifying buckets
   // then stream into the output with a straight contiguous copy.
   //
-  // Two cache-conscious regimes, both pure functions of operand shape (so
-  // the output is identical for every kernel and thread count):
-  //
-  //  * Group source. When the probe table outgrows the cache (the same
-  //    threshold that turns on radix labeling), the kernel gathers all of
-  //    `b`'s labels into the SoA group stream first — SIMD gather + software
-  //    prefetch overlap the random probe loads that an in-order walk would
-  //    stall on. Cache-resident tables skip the gather: probe loads hit L1
-  //    and the extra pass through groups[] costs more than it saves.
-  //
-  //  * Emission. When `a` has few classes (the common low-level case), an
-  //    index-order scan over all `a` classes per `b` class recovers the
-  //    bucket fill levels from the scatter cursors — the row loop carries no
-  //    bookkeeping beyond the cursor itself, and product classes emit
-  //    grouped by `b` class, ordered by `a` class index within it. When the
-  //    scan would dwarf the row walk ((a_classes+1) x b_classes >
-  //    b_member_rows), the scatter counts fill levels and records first-seen
-  //    groups in the touched list, and emission walks that list in
-  //    first-seen order. The order differs between the two strategies, but
-  //    the choice depends only on the operands' class/row counts, never on
-  //    the kernel or any runtime state.
+  // Emission. When `a` has few classes (the common low-level case), an
+  // index-order scan over all `a` classes per `b` class recovers the bucket
+  // fill levels from the scatter cursors — the row loop carries no
+  // bookkeeping beyond the cursor itself, and product classes emit grouped
+  // by `b` class, ordered by `a` class index within it. When the scan would
+  // dwarf the row walk ((a_classes+1) x b_classes > b_member_rows), the
+  // scatter counts fill levels and records first-seen groups in the touched
+  // list, and emission walks that list in first-seen order. The order
+  // differs between the two strategies, but the choice depends only on the
+  // operands' class/row counts, so the output is identical at every thread
+  // count.
   const std::vector<int32_t>& b_rows = b.row_ids();
   const int32_t* const b_rows_data = b_rows.data();
   const int32_t* const bucket_base = a.class_offsets().data();
@@ -315,40 +220,19 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
   int32_t* const group_size = group_size_.data();
   int32_t* const touched = touched_.data();
   int32_t* const bucket_data = bucket_data_.data();
-  int32_t* const groups = groups_.data();
   rows_scanned += static_cast<int64_t>(b_rows.size());
 
-  const bool gathered = num_rows_ * static_cast<int64_t>(sizeof(int32_t)) >=
-                        radix_.min_probe_bytes();
-  if (gathered) {
-    // One gather over the whole member-row array: maximal SIMD runs, one
-    // dispatch. groups_[i] then lines up with b_rows[i] in every class.
-    kernel_->gather_groups(probe, b_rows_data,
-                           static_cast<int64_t>(b_rows.size()), base, groups);
-  }
   const bool index_scan =
       (a_classes + 1) * b.num_classes() <= static_cast<int64_t>(b_rows.size());
-  const bool chained = a_classes <= kChainedMaxClasses;
-
   if (index_scan) {
-    using CursorScatter = void (*)(const int32_t*, int32_t, int32_t,
-                                   const int32_t*, int32_t, const int32_t*,
-                                   int32_t, int32_t*, int32_t*);
-    const CursorScatter scatter =
-        gathered ? (chained ? &ScatterWithCursors<true, true>
-                            : &ScatterWithCursors<true, false>)
-                 : (chained ? &ScatterWithCursors<false, true>
-                            : &ScatterWithCursors<false, false>);
     // group_size_ doubles as the cursor array (it is all-zero between
     // products; re-zeroed below to keep that invariant for the counting
     // path).
     int32_t* const cursor = group_size;
     for (int64_t g = 0; g <= a_classes; ++g) cursor[g] = bucket_base[g];
     for (int64_t cls = 0; cls < b.num_classes(); ++cls) {
-      const int32_t begin = b.class_begin(cls);
-      const int32_t end = b.class_end(cls);
-      scatter(b_rows_data, begin, end, probe, base, groups, trash_group,
-              cursor, bucket_data);
+      ScatterWithCursors(b_rows_data, b.class_begin(cls), b.class_end(cls),
+                         probe, base, trash_group, cursor, bucket_data);
       for (int64_t g = 0; g < a_classes; ++g) {
         const int32_t bucket_begin = bucket_base[g];
         const int32_t count = cursor[g] - bucket_begin;
@@ -364,21 +248,10 @@ StatusOr<StrippedPartition> PartitionProduct::Multiply(
     }
     for (int64_t g = 0; g <= a_classes; ++g) cursor[g] = 0;
   } else {
-    using CountScatter = int64_t (*)(const int32_t*, int32_t, int32_t,
-                                     const int32_t*, int32_t, const int32_t*,
-                                     int32_t, const int32_t*, int32_t*,
-                                     int32_t*, int32_t*);
-    const CountScatter scatter =
-        gathered ? (chained ? &ScatterWithCounts<true, true>
-                            : &ScatterWithCounts<true, false>)
-                 : (chained ? &ScatterWithCounts<false, true>
-                            : &ScatterWithCounts<false, false>);
     for (int64_t cls = 0; cls < b.num_classes(); ++cls) {
-      const int32_t begin = b.class_begin(cls);
-      const int32_t end = b.class_end(cls);
-      const int64_t touched_count =
-          scatter(b_rows_data, begin, end, probe, base, groups, trash_group,
-                  bucket_base, group_size, bucket_data, touched);
+      const int64_t touched_count = ScatterWithCounts(
+          b_rows_data, b.class_begin(cls), b.class_end(cls), probe, base,
+          trash_group, bucket_base, group_size, bucket_data, touched);
       for (int64_t t = 0; t < touched_count; ++t) {
         const int32_t group = touched[t];
         const int32_t count = group_size[group];

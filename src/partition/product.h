@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "partition/buffer_pool.h"
-#include "partition/kernels/kernels.h"
 #include "partition/stripped_partition.h"
 #include "util/status.h"
 
@@ -17,30 +16,23 @@ class MetricsRegistry;
 }  // namespace obs
 
 /// Computes partition products π' · π'' = π_{X∪Y} (Lemma 3) with the
-/// linear-time probe-table algorithm of the TANE paper, restructured as two
-/// data-parallel kernels (src/partition/kernels/):
+/// linear-time probe-table algorithm of the TANE paper, in two passes:
 ///
-///  * pass 1 labels the rows of `a` with epoch-tagged class ids — a scatter
-///    dispatched to the selected kernel, or to the cache-conscious radix
-///    variant when the probe table outgrows the cache;
+///  * pass 1 labels the rows of `a` with epoch-tagged class ids
+///    (StrippedPartition::LabelRows, the loop G3Calculator labels with);
 ///  * pass 2 scatters `b`'s rows into a flat bucket arena, branch-free per
-///    row (invalid rows are predicated onto a trash bucket) and with the
-///    per-bucket counter chain broken through registers. When the probe
-///    table outgrows the cache, the labels are first gathered into a flat
-///    SoA group stream by the kernel (SIMD gather/compare on AVX2, unrolled
-///    prefetched scalar otherwise) so the random probe loads overlap;
-///    cache-resident tables probe directly. See product.cc for the two
-///    emission strategies (index-order scan vs first-seen touched list),
-///    selected by operand shape alone.
+///    row (invalid rows are predicated onto a trash bucket). See product.cc
+///    for the two emission strategies (index-order scan vs first-seen
+///    touched list), selected by operand shape alone.
 ///
 /// All scratch is flat arrays — an O(|r|) epoch-labelled probe table (no
-/// reset pass between calls), the SoA group stream, a bucket arena laid out
-/// by `a`'s own CSR offsets (each bucket's capacity is exactly its `a`
-/// class size), a per-class cursor/count array, and two staging arrays the
-/// product is emitted into — owned by this object, sized for |r| rows at
-/// construction, and reused across calls. Surviving buckets stream into the
-/// staging arrays with contiguous copies, so Multiply performs no per-class
-/// heap allocations.
+/// reset pass between calls), a bucket arena laid out by `a`'s own CSR
+/// offsets (each bucket's capacity is exactly its `a` class size), a
+/// per-class cursor/count array, and two staging arrays the product is
+/// emitted into — owned by this object, sized for |r| rows at construction,
+/// and reused across calls. Surviving buckets stream into the staging
+/// arrays with contiguous copies, so Multiply performs no per-class heap
+/// allocations.
 ///
 /// The result is copied out of the staging arrays into vectors of exactly
 /// its size: a stored partition carries no slack capacity, which is what
@@ -51,11 +43,9 @@ class MetricsRegistry;
 /// and keep their recycled capacity; once the pool has warmed up, those
 /// products are allocation-free. Only benchmarks attach a pool.
 ///
-/// Every kernel computes the same integer stream, and every shape-dependent
-/// strategy choice is a pure function of the operands, so the output (and
-/// the allocation count) is bit-identical across kernels and thread counts;
-/// the equivalence fuzz suite in tests/kernel_equivalence_test.cc enforces
-/// this. Instances are not thread-safe; parallel callers keep one
+/// The emission strategy is a pure function of the operands, so the output
+/// (and the allocation count) is bit-identical across thread counts.
+/// Instances are not thread-safe; parallel callers keep one
 /// PartitionProduct per worker (see core/tane.cc).
 ///
 /// Both operands must be over the same number of rows and use the same
@@ -73,13 +63,6 @@ class PartitionProduct {
     pool_ = pool;
     pool_slot_ = slot;
   }
-
-  /// Selects the dispatch kernel for the label/gather passes. Defaults to
-  /// DefaultKernel() (the widest ISA the CPU supports). Not owned; must be
-  /// one of the process-lifetime tables from partition/kernels.
-  void set_kernel(const KernelOps* kernel) { kernel_ = kernel; }
-
-  const KernelOps* kernel() const { return kernel_; }
 
   /// Mirrors allocation counts (kProductAllocations), the rows-scanned /
   /// label-reuse counters, and the class-count / member-row histograms of
@@ -145,26 +128,15 @@ class PartitionProduct {
 
   int64_t probe_base_for_testing() const { return probe_base_; }
 
-  /// Lowers the radix auto-select threshold (see RadixLabeler); the
-  /// equivalence tests force the radix path on small partitions. Re-warms
-  /// the radix scratch so allocation counts stay deterministic.
-  void set_radix_min_probe_bytes_for_testing(int64_t bytes);
-
-  int64_t radix_labelings_for_testing() const {
-    return radix_.radix_labelings();
-  }
-
-  /// Bytes retained by the reusable scratch arrays (probe table, SoA group
-  /// stream, per-class size arrays, staging arrays, radix buckets), for
-  /// memory-budget accounting.
+  /// Bytes retained by the reusable scratch arrays (probe table, per-class
+  /// size arrays, bucket arena, staging arrays), for memory-budget
+  /// accounting.
   int64_t ScratchBytes() const {
     return static_cast<int64_t>(
-               (probe_.capacity() + group_size_.capacity() +
-                touched_.capacity() + bucket_data_.capacity() +
-                groups_.capacity() + stage_rows_.capacity() +
-                stage_offsets_.capacity()) *
-               sizeof(int32_t)) +
-           radix_.ScratchBytes();
+        (probe_.capacity() + group_size_.capacity() + touched_.capacity() +
+         bucket_data_.capacity() + stage_rows_.capacity() +
+         stage_offsets_.capacity()) *
+        sizeof(int32_t));
   }
 
  private:
@@ -180,12 +152,6 @@ class PartitionProduct {
   std::vector<int32_t> TakeOutput(const int32_t* data, size_t size,
                                   size_t bound);
 
-  // Pre-sizes the radix SoA scratch iff the probe span can ever trigger the
-  // radix path — decided from num_rows_ alone, so every worker's scratch
-  // (and therefore the run-wide allocation count) is identical at any
-  // thread count.
-  void WarmRadixScratch();
-
   int64_t num_rows_;
   // probe_[row] = probe_base_ + class index within `a` for the currently
   // labeled operand; entries below probe_base_ are stale labels from
@@ -200,10 +166,6 @@ class PartitionProduct {
   int64_t labeled_classes_ = 0;
   // Content identity of the currently labeled `a` (0 = not reusable).
   uint64_t last_a_token_ = 0;
-  // SoA class-label stream for `b`'s member rows, filled by the kernel's
-  // gather in the large-probe regime and consumed by the branch-free
-  // scatter.
-  std::vector<int32_t> groups_;
   // Per-`a`-class scratch (sized classes + trash + 1): bucket cursors on
   // the index-scan emission path, bucket fill counts on the touched-list
   // path. All-zero between products — both paths restore that invariant.
@@ -226,9 +188,6 @@ class PartitionProduct {
   // exact size once the product is complete.
   std::vector<int32_t> stage_rows_;
   std::vector<int32_t> stage_offsets_;
-
-  const KernelOps* kernel_ = DefaultKernel();
-  RadixLabeler radix_;
 
   PartitionBufferPool* pool_ = nullptr;
   int pool_slot_ = 0;

@@ -87,6 +87,12 @@ class StrippedPartition {
   /// of `other` (π refines π'). O(member rows of both). Used by Lemma 1.
   bool Refines(const StrippedPartition& other) const;
 
+  /// Writes `base + c` into probe[row] for every member row of class c: the
+  /// labeling pass of the probe-table algorithm, shared by
+  /// PartitionProduct (pass 1) and G3Calculator. `probe` must cover
+  /// num_rows() entries; rows outside stored classes are left untouched.
+  void LabelRows(int32_t* probe, int32_t base) const;
+
   /// Moves the CSR arrays out for buffer recycling, leaving this partition
   /// empty (all singletons) but structurally valid.
   void MoveBuffersInto(std::vector<int32_t>* row_ids,

@@ -156,7 +156,6 @@ TEST(FingerprintTest, ConfigFingerprintTracksOutputAffectingFieldsOnly) {
   TaneConfig threads = base;
   threads.num_threads = 8;
   threads.storage = StorageMode::kDisk;
-  threads.kernel = "scalar";
   threads.parallel_min_window_rows = 0;
   threads.checkpoint_every_level = true;
   EXPECT_EQ(ConfigFingerprint(threads), fp);

@@ -152,6 +152,11 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   EXPECT_NE(removed.err.find("unknown flag " + removed_flag),
             std::string::npos)
       << removed.err;
+  // So is the partition-kernel override: one portable loop remains.
+  const CliResult kernel = RunCli({"discover", path, "--kernel=avx2"});
+  EXPECT_EQ(kernel.code, 2);
+  EXPECT_NE(kernel.err.find("unknown flag --kernel"), std::string::npos)
+      << kernel.err;
   EXPECT_EQ(RunCli({"discover", "/does/not/exist.csv"}).code, 5);
   EXPECT_EQ(RunCli({"discover"}).code, 2);
   std::remove(path.c_str());

@@ -1,5 +1,10 @@
 // Tests for the g1 and g2 error measures (Kivinen & Mannila), implemented
-// on partitions alongside the g3 measure TANE uses.
+// on partitions alongside the g3 measure TANE uses, and for all three
+// against their definitions over raw rows.
+
+#include <algorithm>
+#include <map>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "partition/error.h"
@@ -29,7 +34,9 @@ Measures Compute(const Relation& relation, AttributeSet lhs, int rhs) {
           calc.RemovalCount(pl, pj).value()};
 }
 
-// Direct O(|r|²) reference implementation from the definitions.
+// Direct reference implementation from the definitions, over raw rows and
+// without partitions: O(|r|²) pairs for g1 and g2, value-tuple groups for
+// g3.
 Measures BruteMeasures(const Relation& relation, AttributeSet lhs, int rhs) {
   const int64_t rows = relation.num_rows();
   int64_t pairs = 0;
@@ -52,7 +59,26 @@ Measures BruteMeasures(const Relation& relation, AttributeSet lhs, int rhs) {
   }
   int64_t row_count = 0;
   for (bool v : violating) row_count += v ? 1 : 0;
-  return {pairs, row_count, 0};
+
+  // g3: every X-group keeps its largest (X, A)-subgroup; the rest of the
+  // group must be removed.
+  std::map<std::vector<int32_t>, std::map<int32_t, int64_t>> groups;
+  for (int64_t t = 0; t < rows; ++t) {
+    std::vector<int32_t> x_values;
+    for (int a : Members(lhs)) x_values.push_back(relation.code(t, a));
+    ++groups[x_values][relation.code(t, rhs)];
+  }
+  int64_t removals = 0;
+  for (const auto& [x_values, subgroups] : groups) {
+    int64_t size = 0;
+    int64_t largest = 0;
+    for (const auto& [a_value, count] : subgroups) {
+      size += count;
+      largest = std::max(largest, count);
+    }
+    removals += size - largest;
+  }
+  return {pairs, row_count, removals};
 }
 
 TEST(ErrorMeasuresTest, PaperExampleG1G2) {
@@ -112,18 +138,23 @@ TEST_P(ErrorMeasuresPropertyTest, MatchesPairwiseDefinition) {
   for (int64_t i = 0; i < rows; ++i) {
     data.push_back({std::to_string(rng.NextBounded(3)),
                     std::to_string(rng.NextBounded(4)),
-                    std::to_string(rng.NextBounded(2))});
+                    std::to_string(rng.NextBounded(2)),
+                    "const",                                 // 1 class
+                    std::to_string(rng.NextBounded(rows))});  // near-key
   }
-  Relation relation = MakeRelation(data, 3);
-  for (uint64_t lhs_mask = 0; lhs_mask < 8; ++lhs_mask) {
+  const int cols = 5;
+  Relation relation = MakeRelation(data, cols);
+  for (uint64_t lhs_mask = 0; lhs_mask < (uint64_t{1} << cols); ++lhs_mask) {
     AttributeSet lhs = AttributeSet::FromMask(lhs_mask);
-    for (int rhs = 0; rhs < 3; ++rhs) {
+    for (int rhs = 0; rhs < cols; ++rhs) {
       if (lhs.Contains(rhs)) continue;
       Measures fast = Compute(relation, lhs, rhs);
       Measures brute = BruteMeasures(relation, lhs, rhs);
       EXPECT_EQ(fast.g1_pairs, brute.g1_pairs)
           << lhs.ToString() << " -> " << rhs;
       EXPECT_EQ(fast.g2_rows, brute.g2_rows)
+          << lhs.ToString() << " -> " << rhs;
+      EXPECT_EQ(fast.g3_removals, brute.g3_removals)
           << lhs.ToString() << " -> " << rhs;
     }
   }

@@ -498,7 +498,7 @@ TEST(RunReportTest, IsWellFormedAndMirrorsStats) {
   const auto contains = [&](const std::string& needle) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   };
-  contains("\"schema_version\":5");
+  contains("\"schema_version\":6");
   contains("\"fingerprint\":\"crc32:deadbeef\"");
   contains("\"checkpoint\":{");
   contains("\"resumable\":false");
@@ -518,6 +518,9 @@ TEST(RunReportTest, IsWellFormedAndMirrorsStats) {
   EXPECT_EQ(text.find("\"speedup\""), std::string::npos);
   // Schema 5: no "pooled_bytes" gauge — the driver attaches no buffer pool.
   EXPECT_EQ(text.find("\"pooled_bytes\""), std::string::npos);
+  // Schema 6: neither "config" nor "hw" names a kernel — there is one
+  // portable product loop, so nothing is dispatched.
+  EXPECT_EQ(text.find("\"kernel\""), std::string::npos);
   contains("\"histograms\"");
   contains("\"product_classes\"");
 

@@ -148,6 +148,78 @@ TEST_P(ProductPropertyTest, Lemma3OnRandomRelations) {
                       .Canonicalized());
 }
 
+// Random relation whose columns cover the product's edge shapes: a constant
+// column (one class covering every row), a 2-class column, a mid-range
+// column, a near-key column (heavy singleton stripping, tiny surviving
+// classes) and a key column (a superkey: its stripped partition is empty).
+// Row counts are odd.
+Relation FuzzRelation(Rng& rng) {
+  const int64_t rows = 17 + 2 * static_cast<int64_t>(rng.NextBounded(75));
+  std::vector<std::vector<std::string>> data;
+  for (int64_t i = 0; i < rows; ++i) {
+    data.push_back({"const", std::to_string(rng.NextBounded(2)),
+                    std::to_string(rng.NextBounded(1 + rows / 4)),
+                    std::to_string(rng.NextBounded(rows)),
+                    std::to_string(i)});
+  }
+  return MakeRelation(data, 5);
+}
+
+// Every product of single-attribute partitions, and of each pair product
+// with a third attribute, equals the from-scratch partition of the union.
+// Each run of products sharing a left operand passes one token, so all but
+// the first reuse its labels. Both emission strategies must run: the
+// index-order scan when (a_classes + 1) * b_classes <= b_member_rows, the
+// first-seen touched list otherwise.
+TEST_P(ProductPropertyTest, FuzzedShapesMatchFromScratchPartitions) {
+  Rng rng(5000 + GetParam());
+  const Relation relation = FuzzRelation(rng);
+  const int cols = relation.num_columns();
+  int64_t index_scans = 0;
+  int64_t touched_lists = 0;
+  uint64_t token = 0;
+  for (const bool stripped : {true, false}) {
+    PartitionProduct product(relation.num_rows());
+    const auto multiply = [&](const StrippedPartition& a,
+                              const StrippedPartition& b, uint64_t a_token,
+                              AttributeSet both) {
+      const bool index_scan = (a.num_classes() + 1) * b.num_classes() <=
+                              b.num_member_rows();
+      if (index_scan) {
+        ++index_scans;
+      } else {
+        ++touched_lists;
+      }
+      StrippedPartition result = product.Multiply(a, b, a_token).value();
+      EXPECT_EQ(result.stripped(), stripped);
+      EXPECT_EQ(result.Canonicalized(),
+                PartitionBuilder::ForAttributeSet(relation, both, stripped)
+                    .Canonicalized())
+          << both.ToString() << (stripped ? " stripped" : " unstripped");
+      return result;
+    };
+    std::vector<StrippedPartition> singles;
+    for (int a = 0; a < cols; ++a) {
+      singles.push_back(PartitionBuilder::ForAttribute(relation, a, stripped));
+    }
+    for (int a = 0; a < cols; ++a) {
+      const uint64_t a_token = ++token;
+      for (int b = 0; b < cols; ++b) {
+        const StrippedPartition ab =
+            multiply(singles[a], singles[b], a_token, AttributeSet::Of({a, b}));
+        if (b <= a) continue;
+        const uint64_t ab_token = ++token;
+        for (int c = 0; c < cols; ++c) {
+          multiply(ab, singles[c], ab_token, AttributeSet::Of({a, b, c}));
+        }
+      }
+    }
+    EXPECT_GT(product.label_reuses(), 0);
+  }
+  EXPECT_GT(index_scans, 0);
+  EXPECT_GT(touched_lists, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ProductPropertyTest,
                          ::testing::Range(0, 12));
 

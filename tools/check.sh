@@ -2,10 +2,10 @@
 # Builds and tests every supported configuration: the default RelWithDebInfo
 # preset, the asan-ubsan preset (AddressSanitizer + UBSan), and the tsan
 # preset (ThreadSanitizer, which races the parallel level executor), running
-# the full ctest suite under each. The suite includes the kernel-equivalence
-# fuzz tests, which sweep every available dispatch kernel (scalar, and
-# avx2/neon where the CPU has them) — so each kernel's gathers, prefetches,
-# and scatters run under both sanitizers on every invocation. Usage:
+# the full ctest suite under each. The suite includes the product and g3
+# fuzz tests against from-scratch references (product_test,
+# error_measures_test), so the probe-table label, scatter and counting loops
+# run under both sanitizers on every invocation. Usage:
 # tools/check.sh [preset ...]; with no arguments all three presets run.
 set -euo pipefail
 

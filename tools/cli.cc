@@ -50,11 +50,6 @@ commands:
                         to disk instead of failing
       --threads=N       worker threads for per-level parallel execution
                         (default 1; output is identical for any N)
-      --kernel=K        data-parallel kernel for the partition-product and
-                        error-scan hot loops: auto (default; widest ISA the
-                        CPU supports), scalar, avx2, or neon; an unavailable
-                        kernel falls back to scalar with a warning (output
-                        is identical for every K)
       --format=F        text (default), json, or csv
       --stats           print search statistics and the phase breakdown
       --trace=PATH      write a Chrome/Perfetto trace of the run's phases
@@ -229,9 +224,6 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
                         FlagAsInt(args, "memory-budget-mb", 0));
   TANE_ASSIGN_OR_RETURN(int64_t threads, FlagAsInt(args, "threads", 1));
   config.num_threads = static_cast<int>(threads);
-  if (const std::string* kernel = args.Flag("kernel")) {
-    config.kernel = *kernel;
-  }
   if (deadline_ms < 0) {
     return Status::InvalidArgument("--deadline-ms must be >= 0");
   }
@@ -399,7 +391,6 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
         << " product_rows_scanned=" << stats.product_rows_scanned
         << " product_label_reuses=" << stats.product_label_reuses
         << " g3_rows_scanned=" << stats.g3_rows_scanned
-        << " kernel=" << stats.kernel
         << " peak_partition_bytes=" << stats.peak_partition_bytes
         << " spill_bytes=" << stats.spill_bytes_written
         << " degraded_to_disk=" << (stats.degraded_to_disk ? 1 : 0)
@@ -755,7 +746,7 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
   if (command == "discover") {
     status = CheckKnownFlags(
         *parsed, {"epsilon", "max-lhs", "deadline-ms", "memory-budget-mb",
-                  "threads", "kernel", "disk", "storage", "format",
+                  "threads", "disk", "storage", "format",
                   "stats", "trace", "report", "progress", "profile",
                   "profile-out", "log-level",
                   "no-header", "delimiter", "checkpoint-dir",
