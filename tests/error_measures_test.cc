@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "partition/error.h"
 #include "partition/partition_builder.h"
+#include "partition/product.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -162,6 +164,76 @@ TEST_P(ErrorMeasuresPropertyTest, MatchesPairwiseDefinition) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ErrorMeasuresPropertyTest,
                          ::testing::Range(0, 10));
+
+// The g3 loop — G3Calculator's labeling and counting passes, which every
+// g3, g1 and g2 scan runs — against the scalar reference BruteMeasures,
+// on relations fuzzed with the partition product's edge shapes: a constant
+// column (one class covering every row), a 2-class column, a mid-range
+// column, a near-key column (heavy singleton stripping) and a key column
+// (its stripped partition is empty). Row counts are odd. The operands come
+// from PartitionProduct, stripped and unstripped, in runs sharing one reuse
+// token, and one calculator serves every call, so stale labels of earlier
+// calls are always present.
+class KernelEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelEquivalenceTest, G3CountsMatchScalarOnFuzzedRelations) {
+  Rng rng(2000 + GetParam());
+  const int64_t rows = 17 + 2 * static_cast<int64_t>(rng.NextBounded(75));
+  std::vector<std::vector<std::string>> data;
+  for (int64_t i = 0; i < rows; ++i) {
+    data.push_back({"const", std::to_string(rng.NextBounded(2)),
+                    std::to_string(rng.NextBounded(1 + rows / 4)),
+                    std::to_string(rng.NextBounded(rows)),
+                    std::to_string(i)});
+  }
+  const int cols = 5;
+  const Relation relation = MakeRelation(data, cols);
+
+  G3Calculator g3(relation.num_rows());
+  uint64_t token = 0;
+  for (const bool stripped : {true, false}) {
+    PartitionProduct product(relation.num_rows());
+    const auto check = [&](const StrippedPartition& lhs, uint64_t lhs_token,
+                           AttributeSet lhs_attrs) {
+      for (int rhs = 0; rhs < cols; ++rhs) {
+        if (lhs_attrs.Contains(rhs)) continue;
+        const StrippedPartition both =
+            product
+                .Multiply(lhs,
+                          PartitionBuilder::ForAttribute(relation, rhs,
+                                                         stripped),
+                          lhs_token)
+                .value();
+        const Measures brute = BruteMeasures(relation, lhs_attrs, rhs);
+        const std::string where = lhs_attrs.ToString() + " -> " +
+                                  std::to_string(rhs) +
+                                  (stripped ? " stripped" : " unstripped");
+        EXPECT_EQ(g3.RemovalCount(lhs, both).value(), brute.g3_removals)
+            << where;
+        EXPECT_EQ(g3.ViolatingPairCount(lhs, both).value(), brute.g1_pairs)
+            << where;
+        EXPECT_EQ(g3.ViolatingRowCount(lhs, both).value(), brute.g2_rows)
+            << where;
+      }
+    };
+    for (int a = 0; a < cols; ++a) {
+      const StrippedPartition pa =
+          PartitionBuilder::ForAttribute(relation, a, stripped);
+      check(pa, ++token, AttributeSet::Of({a}));
+      for (int b = a + 1; b < cols; ++b) {
+        const StrippedPartition pab =
+            product
+                .Multiply(pa,
+                          PartitionBuilder::ForAttribute(relation, b,
+                                                         stripped))
+                .value();
+        check(pab, ++token, AttributeSet::Of({a, b}));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalenceTest, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace tane
