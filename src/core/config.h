@@ -104,11 +104,11 @@ struct TaneConfig {
   /// error scans, and validity tests). 1 (the default) runs fully serial
   /// with no thread ever spawned; N > 1 runs each level as a task window:
   /// every candidate node is one task (product + error + validity),
-  /// scheduled over work-stealing deques, with results committed through an
-  /// index-ordered frontier. Output is identical for every thread count:
-  /// the commit frontier stores partitions and merges emissions strictly in
-  /// node order, so every handle, rhs⁺ update, and key decision is
-  /// deterministic. Must be in [1, kMaxNumThreads].
+  /// handed out in index order by one claim counter, with results committed
+  /// through an index-ordered frontier. Output is identical for every
+  /// thread count: the commit frontier stores partitions and merges
+  /// emissions strictly in node order, so every handle, rhs⁺ update, and
+  /// key decision is deterministic. Must be in [1, kMaxNumThreads].
   int num_threads = 1;
 
   /// Upper bound on num_threads — generous for real hardware while keeping

@@ -28,19 +28,17 @@ namespace fs = std::filesystem;
 // MemoryPartitionStore
 
 StatusOr<int64_t> MemoryPartitionStore::Put(StrippedPartition partition) {
-  const int64_t handle = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  Stripe& stripe = stripes_[handle & (kStripes - 1)];
-  WriterMutexLock lock(&stripe.mu);
-  stripe.resident_bytes += partition.EstimatedBytes();
-  stripe.partitions.emplace(handle, std::move(partition));
+  MutexLock lock(&mu_);
+  const int64_t handle = next_handle_++;
+  resident_bytes_ += partition.EstimatedBytes();
+  partitions_.emplace(handle, std::move(partition));
   return handle;
 }
 
 StatusOr<StrippedPartition> MemoryPartitionStore::Get(int64_t handle) {
-  const Stripe& stripe = stripes_[handle & (kStripes - 1)];
-  ReaderMutexLock lock(&stripe.mu);
-  auto it = stripe.partitions.find(handle);
-  if (it == stripe.partitions.end()) {
+  MutexLock lock(&mu_);
+  auto it = partitions_.find(handle);
+  if (it == partitions_.end()) {
     return Status::NotFound("no partition with handle " +
                             std::to_string(handle));
   }
@@ -48,37 +46,30 @@ StatusOr<StrippedPartition> MemoryPartitionStore::Get(int64_t handle) {
 }
 
 const StrippedPartition* MemoryPartitionStore::Peek(int64_t handle) const {
-  const Stripe& stripe = stripes_[handle & (kStripes - 1)];
-  ReaderMutexLock lock(&stripe.mu);
-  auto it = stripe.partitions.find(handle);
+  MutexLock lock(&mu_);
+  auto it = partitions_.find(handle);
   // The pointer outlives the lock: elements of an unordered_map are stable
-  // until erased, so concurrent Puts (this stripe or any other) never move
-  // the partition; only Release of this handle invalidates the pointer.
-  return it == stripe.partitions.end() ? nullptr : &it->second;
+  // until erased, so concurrent Puts (rehashes included) never move the
+  // partition; only Release of this handle invalidates the pointer.
+  return it == partitions_.end() ? nullptr : &it->second;
 }
 
 Status MemoryPartitionStore::Release(int64_t handle) {
-  Stripe& stripe = stripes_[handle & (kStripes - 1)];
-  WriterMutexLock lock(&stripe.mu);
-  auto it = stripe.partitions.find(handle);
-  if (it == stripe.partitions.end()) {
+  MutexLock lock(&mu_);
+  auto it = partitions_.find(handle);
+  if (it == partitions_.end()) {
     return Status::NotFound("release of unknown handle " +
                             std::to_string(handle));
   }
-  stripe.resident_bytes -= it->second.EstimatedBytes();
-  PartitionBufferPool* pool = pool_.load(std::memory_order_acquire);
-  if (pool != nullptr) pool->Recycle(std::move(it->second));
-  stripe.partitions.erase(it);
+  resident_bytes_ -= it->second.EstimatedBytes();
+  if (pool_ != nullptr) pool_->Recycle(std::move(it->second));
+  partitions_.erase(it);
   return Status::OK();
 }
 
 int64_t MemoryPartitionStore::resident_bytes() const {
-  int64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    ReaderMutexLock lock(&stripe.mu);
-    total += stripe.resident_bytes;
-  }
-  return total;
+  MutexLock lock(&mu_);
+  return resident_bytes_;
 }
 
 // ---------------------------------------------------------------------------

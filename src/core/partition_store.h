@@ -1,7 +1,6 @@
 #ifndef TANE_CORE_PARTITION_STORE_H_
 #define TANE_CORE_PARTITION_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -26,11 +25,12 @@ class Tracer;
 /// level; TANE/MEM keeps them in RAM. The driver is written against this
 /// interface so both variants share one code path.
 ///
-/// Thread-safety: every implementation below guards its state with
-/// reader-writer locking (the memory store stripes it by handle), so the
-/// read path (Get/Peek, the parallel level executor's Acquire traffic)
-/// proceeds concurrently across workers while Put/Release serialize per
-/// stripe. A pointer returned by Peek stays valid across concurrent Puts
+/// Thread-safety: every implementation below guards its state with a lock,
+/// so any method may be called from any thread. TANE's level loop resolves
+/// the parent level's partitions once per task window with Peek on the
+/// coordinator and hands workers the borrowed pointers, so a worker only
+/// reaches the store itself (Get, for a copy) when Peek cannot serve a
+/// borrow. A pointer returned by Peek stays valid across concurrent Puts
 /// of *other* handles inside a task window (see BeginTaskWindow); only
 /// Release of the peeked handle — or a store migration at a window
 /// boundary — invalidates it.
@@ -96,13 +96,10 @@ class PartitionStore {
 
 /// Keeps every partition in main memory (the TANE/MEM configuration).
 ///
-/// The map is striped by handle across kStripes independent reader-writer
-/// locks, so a Put committing on one stripe never blocks worker Peek/Get
-/// traffic on the other stripes — the lock that used to serialize the
-/// whole store under the parallel executor's commit path. Handles come
-/// from a single atomic counter, so assignment order (and therefore every
-/// handle value) is decided purely by the order Put is called in, which
-/// the driver keeps deterministic via its commit frontier.
+/// One mutex guards a node-stable map: a Put, even one that rehashes the
+/// map, never moves a stored partition, which is what keeps Peek borrows
+/// valid across the commit frontier's Puts. Handles are issued in the
+/// order Put is called in, which the commit frontier keeps deterministic.
 class MemoryPartitionStore : public PartitionStore {
  public:
   MemoryPartitionStore() = default;
@@ -114,25 +111,17 @@ class MemoryPartitionStore : public PartitionStore {
   int64_t resident_bytes() const override;
   int64_t bytes_written() const override { return 0; }
   void set_buffer_pool(PartitionBufferPool* pool) override {
-    pool_.store(pool, std::memory_order_release);
+    MutexLock lock(&mu_);
+    pool_ = pool;
   }
 
  private:
-  static constexpr int kStripes = 8;  // power of two: stripe = handle & 7
-
-  struct Stripe {
-    mutable SharedMutex mu;
-    std::unordered_map<int64_t, StrippedPartition> partitions
-        TANE_GUARDED_BY(mu);
-    int64_t resident_bytes TANE_GUARDED_BY(mu) = 0;
-  };
-
-  Stripe stripes_[kStripes];
-  // Set-once publication pointer and a monotonic id counter: each cell's
-  // explicit orders are its whole contract. tane-lint: allow(naked-atomic)
-  std::atomic<PartitionBufferPool*> pool_{nullptr};
-  // tane-lint: allow(naked-atomic)
-  std::atomic<int64_t> next_handle_{0};
+  mutable Mutex mu_;
+  std::unordered_map<int64_t, StrippedPartition> partitions_
+      TANE_GUARDED_BY(mu_);
+  int64_t resident_bytes_ TANE_GUARDED_BY(mu_) = 0;
+  int64_t next_handle_ TANE_GUARDED_BY(mu_) = 0;
+  PartitionBufferPool* pool_ TANE_GUARDED_BY(mu_) = nullptr;
 };
 
 /// Spills partitions to append-only segment files under a directory (the

@@ -74,23 +74,17 @@ struct Node {
   bool deleted = false;
 };
 
-// Serves partitions by handle, borrowing from the store when it is
-// memory-backed and maintaining a small LRU of deserialized partitions when
-// it is disk-backed. Pointers stay valid for at least the `capacity - 1`
-// following Acquire calls, which suffices for the two-operand uses here.
-// Borrowed pointers also survive concurrent Puts from the commit frontier
-// (the stores guarantee reference stability within a task window); the
-// driver never Releases a handle while a window is in flight. Not
-// thread-safe itself; the parallel executor keeps one accessor per worker.
+// Serves partitions the store cannot lend (a disk-backed store's Peek is
+// null) as a small LRU of deserialized copies. Pointers stay valid for at
+// least the `capacity - 1` following Acquire calls, which suffices for the
+// two-operand uses here. Not thread-safe itself; the parallel executor
+// keeps one accessor per worker.
 class PartitionAccessor {
  public:
   PartitionAccessor(PartitionStore* store, size_t capacity)
       : store_(store), capacity_(capacity) {}
 
   StatusOr<const StrippedPartition*> Acquire(int64_t handle) {
-    if (const StrippedPartition* borrowed = store_->Peek(handle)) {
-      return borrowed;
-    }
     for (auto it = cache_.begin(); it != cache_.end(); ++it) {
       if (it->first == handle) {
         cache_.splice(cache_.begin(), cache_, it);
@@ -175,7 +169,7 @@ struct WindowSlot {
 
 // Immutable inputs of one fused level window: the candidates (in node
 // order) with their pre-seeded C⁺ sets, and the parent level backing the
-// validity tests.
+// products and validity tests.
 struct WindowInputs {
   // The level being built (its nodes' |X|).
   int level_number = 1;
@@ -185,6 +179,11 @@ struct WindowInputs {
   // level 1, where the tests run against π_∅.
   const std::vector<Node>* parents = nullptr;
   const LevelIndex* parent_index = nullptr;
+  // The parents' partitions, indexed like `parents`: borrowed with Peek by
+  // the coordinator before the window, so workers read them without
+  // touching the store. Null where the store cannot lend one (disk-backed);
+  // workers then copy through their accessor (ParentPartition).
+  std::vector<const StrippedPartition*> parent_partitions;
   // Fold mode at level 1: keep a resident copy of every singleton partition
   // next to the stored one.
   bool stash_singletons = false;
@@ -192,6 +191,20 @@ struct WindowInputs {
   // candidates of the smaller parent's member rows (or a proxy at level 1).
   int64_t est_row_work = 0;
 };
+
+// Parent `pos` of a window: the coordinator's borrow when the store lent
+// one, else a copy through the worker's accessor.
+StatusOr<const StrippedPartition*> ParentPartition(WorkerState* w,
+                                                   const WindowInputs& in,
+                                                   int pos) {
+  if (const StrippedPartition* borrowed = in.parent_partitions[pos]) {
+    return borrowed;
+  }
+  // The copy lives in the worker's accessor LRU, dropped in bulk by
+  // ReleaseHandles at the level boundary.
+  // tane-analyzer: allow(handle-discipline)
+  return w->accessor.Acquire((*in.parents)[pos].handle);
+}
 
 // Shared mutable state of one fused level window. Workers coordinate
 // through the atomic commit `frontier`; everything whose order matters —
@@ -329,15 +342,13 @@ class TaneRun {
 
   // The per-node half of COMPUTE-DEPENDENCIES (lines 3-8): runs every
   // validity test of `node` against its freshly built partition `fine` and
-  // collects emissions plus the final C⁺ into `out` without touching shared
-  // state. Safe to call concurrently for distinct nodes. The C⁺ updates of
-  // lines 7-8 commute (set differences and intersections), so applying them
-  // against a snapshot here and merging later reproduces the serial result
-  // exactly.
-  Status ProcessNode(int level_number, const Node& node,
-                     const StrippedPartition* fine,
-                     const std::vector<Node>* prev,
-                     const LevelIndex* prev_index, WorkerState* w,
+  // the window's parent level, and collects emissions plus the final C⁺
+  // into `out` without touching shared state. Safe to call concurrently for
+  // distinct nodes. The C⁺ updates of lines 7-8 commute (set differences
+  // and intersections), so applying them against a snapshot here and
+  // merging later reproduces the serial result exactly.
+  Status ProcessNode(const WindowInputs& in, const Node& node,
+                     const StrippedPartition* fine, WorkerState* w,
                      NodeOutcome* out);
 
   // PRUNE(L_ℓ), paper §5. Marks nodes deleted and emits key dependencies.
@@ -347,21 +358,23 @@ class TaneRun {
   // GENERATE-NEXT-LEVEL partition computation for one candidate.
   StatusOr<StrippedPartition> BuildCandidatePartition(
       WorkerState* w, const LevelCandidate& candidate,
-      const std::vector<Node>& survivors);
+      const WindowInputs& in);
 
-  // Tests X\{A} → A given e(X\{A}), the handle of π_X\{A}, e(X), and the
-  // node's own partition π_X (`fine`, owned by the window slot — level
-  // partitions are tested before they are stored). Sets *valid and *error
-  // (the error value to report when valid).
-  Status TestValidity(WorkerState* w, int64_t prev_error, int64_t prev_handle,
-                      int64_t node_error, const StrippedPartition* fine,
-                      bool* valid, double* error, bool* exact_holds);
+  // Tests X\{A} → A given e(X\{A}), the position of X\{A} in the window's
+  // parent level (-1 at level 1: π_∅), e(X), and the node's own partition
+  // π_X (`fine`, owned by the window slot — level partitions are tested
+  // before they are stored). Sets *valid and *error (the error value to
+  // report when valid).
+  Status TestValidity(WorkerState* w, const WindowInputs& in, int prev_pos,
+                      int64_t prev_error, int64_t node_error,
+                      const StrippedPartition* fine, bool* valid,
+                      double* error, bool* exact_holds);
 
   // The fused task window that builds one level: every candidate is one
   // task (partition build + error + validity tests),
   // runnable as soon as its parents exist — the parents are the previous
   // level, fully live for the whole window, so all tasks are immediately
-  // runnable and the pool's work-stealing deques schedule them with no
+  // runnable and the pool's claim counter hands them out with no
   // intra-level barrier. Results are committed through the index-ordered
   // frontier in WindowContext. On success *next holds the level's nodes and
   // pending_outcomes_ their validity outcomes; on stop/failure both hold
@@ -701,10 +714,10 @@ Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
   return Status::OK();
 }
 
-Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
-                             int64_t prev_handle, int64_t node_error,
-                             const StrippedPartition* fine, bool* valid,
-                             double* error, bool* exact_holds) {
+Status TaneRun::TestValidity(WorkerState* w, const WindowInputs& in,
+                             int prev_pos, int64_t prev_error,
+                             int64_t node_error, const StrippedPartition* fine,
+                             bool* valid, double* error, bool* exact_holds) {
   metrics_.Add(w->shard, obs::kValidityTests, 1);
   *exact_holds = (prev_error == node_error);
   *error = 0.0;
@@ -739,11 +752,8 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
   }
 
   const StrippedPartition* coarse = nullptr;
-  if (prev_handle >= 0) {
-    // Borrowed via the worker's accessor LRU; the level driver releases
-    // every worker's borrows with ReleaseHandles at the level boundary.
-    // tane-analyzer: allow(handle-discipline)
-    TANE_ASSIGN_OR_RETURN(coarse, w->accessor.Acquire(prev_handle));
+  if (prev_pos >= 0) {
+    TANE_ASSIGN_OR_RETURN(coarse, ParentPartition(w, in, prev_pos));
   } else {
     coarse = empty_partition_.get();
     // Invariant: the level driver prebuilds the empty-set partition.
@@ -791,10 +801,8 @@ Status TaneRun::TestValidity(WorkerState* w, int64_t prev_error,
   return Status::OK();
 }
 
-Status TaneRun::ProcessNode(int level_number, const Node& node,
-                            const StrippedPartition* fine,
-                            const std::vector<Node>* prev,
-                            const LevelIndex* prev_index, WorkerState* w,
+Status TaneRun::ProcessNode(const WindowInputs& in, const Node& node,
+                            const StrippedPartition* fine, WorkerState* w,
                             NodeOutcome* out) {
   // Lines 3-8 for one node: test X\{A} → A for A ∈ X ∩ C⁺(X). The
   // candidate set is snapshot before any test, exactly like the serial
@@ -805,21 +813,20 @@ Status TaneRun::ProcessNode(int level_number, const Node& node,
   for (int attribute : Members(candidates)) {
     const AttributeSet lhs = node.set.Without(attribute);
     int64_t prev_error = empty_error_;
-    int64_t prev_handle = -1;
-    if (level_number > 1) {
-      const int prev_pos = prev_index->Find(lhs);
+    int prev_pos = -1;
+    if (in.level_number > 1) {
+      prev_pos = in.parent_index->Find(lhs);
       // Invariant: candidate generation only emits sets whose
       // subsets survived the previous level.
       // tane-lint: allow(tane-check)
       TANE_CHECK(prev_pos >= 0);
-      prev_error = (*prev)[prev_pos].error;
-      prev_handle = (*prev)[prev_pos].handle;
+      prev_error = (*in.parents)[prev_pos].error;
     }
 
     bool valid = false;
     bool exact_holds = false;
     double error = 0.0;
-    TANE_RETURN_IF_ERROR(TestValidity(w, prev_error, prev_handle, node.error,
+    TANE_RETURN_IF_ERROR(TestValidity(w, in, prev_pos, prev_error, node.error,
                                       fine, &valid, &error, &exact_holds));
     if (!valid) continue;
 
@@ -930,19 +937,12 @@ Status TaneRun::Prune(int level_number, std::vector<Node>* level,
 }
 
 StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
-    WorkerState* w, const LevelCandidate& candidate,
-    const std::vector<Node>& survivors) {
+    WorkerState* w, const LevelCandidate& candidate, const WindowInputs& in) {
   if (config_.use_partition_products) {
-    // Both parents are borrows through the worker's accessor LRU, released
-    // in bulk by ReleaseHandles at the level boundary (see RunLevel).
-    // tane-analyzer: allow(handle-discipline)
-    TANE_ASSIGN_OR_RETURN(
-        const StrippedPartition* a,
-        w->accessor.Acquire(survivors[candidate.parent_a].handle));
-    // tane-analyzer: allow(handle-discipline)
-    TANE_ASSIGN_OR_RETURN(
-        const StrippedPartition* b,
-        w->accessor.Acquire(survivors[candidate.parent_b].handle));
+    TANE_ASSIGN_OR_RETURN(const StrippedPartition* a,
+                          ParentPartition(w, in, candidate.parent_a));
+    TANE_ASSIGN_OR_RETURN(const StrippedPartition* b,
+                          ParentPartition(w, in, candidate.parent_b));
     metrics_.Add(w->shard, obs::kPartitionProducts, 1);
     // Handles are allocated monotonically and never reused, so handle+1 is
     // a sound content token: consecutive candidates sharing their left
@@ -950,7 +950,8 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     // one run of candidates with the same left parent, so at one thread
     // about half of all products reuse the labels of the one before.
     return w->product.Multiply(
-        *a, *b, static_cast<uint64_t>(survivors[candidate.parent_a].handle) + 1);
+        *a, *b,
+        static_cast<uint64_t>((*in.parents)[candidate.parent_a].handle) + 1);
   }
   // Schlimmer-style recomputation: fold the candidate set's singleton
   // partitions, |X|−1 products instead of one.
@@ -971,7 +972,7 @@ bool TaneRun::UseParallelWindow(int64_t count, int64_t est_row_work) const {
   if (configured == 0) return true;
   if (configured > 0) return est_row_work >= configured;
   // Auto: a lone hardware thread can never overlap the window's work (the
-  // deques would only add scheduling overhead on top of a serial
+  // pool would only add scheduling overhead on top of a serial
   // execution), and a level whose total row work is tiny loses more to
   // fan-out/join than it can win back. hardware_concurrency() == 0 means
   // "unknown" and gets the benefit of the doubt.
@@ -1094,9 +1095,7 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     node.set = (*in.sets)[i];
     node.cplus = (*in.cplus)[i];
     node.error = built.Error();
-    slot.outcome.status = ProcessNode(in.level_number, node, &built,
-                                      in.parents, in.parent_index, w,
-                                      &slot.outcome);
+    slot.outcome.status = ProcessNode(in, node, &built, w, &slot.outcome);
     slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
   };
@@ -1118,14 +1117,13 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
             return;
           }
           // The commit-distance gate. A gated worker sleeps until the
-          // frontier lets it start: the worker holding the minimum
-          // uncommitted task is never gated (its gate condition needs the
-          // frontier to pass that very task), and owners pop their deques
-          // in ascending index order, so the minimum unfinished task is
-          // always either running or next in line — the window cannot
-          // deadlock and the frontier always advances. A short stall is
-          // spun out; a long one (a slow task, a spill write) sleeps, so
-          // the run's CPU time does not grow with how long it lasts.
+          // frontier lets it start. Indices are claimed in ascending order,
+          // so the task at the frontier is claimed before every higher
+          // index, and it is never gated (its gate condition needs the
+          // frontier to pass that very task) — the window cannot deadlock
+          // and the frontier always advances. A short stall is spun out; a
+          // long one (a slow task, a spill write) sleeps, so the run's CPU
+          // time does not grow with how long it lasts.
           bool stall_recorded = false;
           std::chrono::steady_clock::time_point spin_start;
           while (i >= ctx.frontier.load(std::memory_order_seq_cst) +
@@ -1162,7 +1160,7 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     CommitReadySlots(&ctx);
   } else {
     // Serial fallback: same task and commit code on the caller thread, no
-    // deques, no gate — the frontier trivially follows the loop index.
+    // pool, no gate — the frontier trivially follows the loop index.
     WallTimer serial_timer;
     WorkerState* w = workers_[0].get();
     for (int64_t i = 0;
@@ -1420,6 +1418,13 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   in.parents = survivors;
   in.parent_index = &survivor_index;
   in.est_row_work = est_row_work;
+  // Resolve every parent once, here on the coordinator: the borrows stay
+  // valid for the whole window, because no Put happens before it opens and
+  // the store defers relocations to its end (BeginTaskWindow).
+  in.parent_partitions.reserve(survivors->size());
+  for (const Node& node : *survivors) {
+    in.parent_partitions.push_back(store_->Peek(node.handle));
+  }
   std::vector<Node> next;
   Status window_status;
   {
@@ -1427,7 +1432,7 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
     window_status = RunLevelWindow(
         in,
         [&](WorkerState* w, int64_t i) {
-          return BuildCandidatePartition(w, candidates[i], *survivors);
+          return BuildCandidatePartition(w, candidates[i], in);
         },
         &next, &stats_.level_parallel.back());
   }

@@ -1,13 +1,10 @@
 #ifndef TANE_UTIL_THREAD_POOL_H_
 #define TANE_UTIL_THREAD_POOL_H_
 
-// tane-atomics: chase-lev(top_,bottom_,ring_,slots)
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -38,86 +35,12 @@ struct ParallelForSlice {
   int64_t items = 0;
 };
 
-/// A lock-free work-stealing deque of int64_t items (Chase–Lev). The owner
-/// pushes and pops at the bottom (LIFO); any other thread steals from the
-/// top (FIFO), so items pushed first are stolen first. Used by ThreadPool
-/// to schedule ParallelFor indices: the coordinator seeds each worker's
-/// deque in descending index order, which makes the owner's pops ascend —
-/// the property the task-graph executor's commit-window deadlock-freedom
-/// argument relies on (see DESIGN.md §7).
-///
-/// Memory-model note: this is the sequentially-consistent-operations
-/// variant of Chase–Lev. The classic formulation uses standalone
-/// atomic_thread_fence calls, which ThreadSanitizer does not model and
-/// would flag as false races; every synchronizing access here is a seq_cst
-/// operation on an std::atomic object instead, which TSan verifies
-/// natively. Ring buffers retired by growth are kept alive until Reset()
-/// or destruction so a concurrent thief never reads freed memory.
-///
-/// Thread-safety contract: Push/Pop/Reset are owner-only (at most one
-/// thread at a time, externally synchronized across ownership transfers);
-/// Steal may run concurrently from any number of threads. Reset requires
-/// quiescence (no concurrent Steal).
-class WorkStealingDeque {
- public:
-  explicit WorkStealingDeque(int64_t capacity_hint = 64);
-  ~WorkStealingDeque();
-
-  WorkStealingDeque(const WorkStealingDeque&) = delete;
-  WorkStealingDeque& operator=(const WorkStealingDeque&) = delete;
-
-  /// Empties the deque and frees retired ring buffers. Requires quiescence:
-  /// no concurrent Push/Pop/Steal. Grows the live ring up front when
-  /// `capacity_hint` exceeds it, so a seeding pass of known size never
-  /// triggers a mid-run growth.
-  void Reset(int64_t capacity_hint = 0);
-
-  /// Owner-only: pushes an item at the bottom. Grows the ring when full.
-  void Push(int64_t item);
-
-  /// Owner-only: pops the most recently pushed item. Returns false when the
-  /// deque is empty or the last item was lost to a concurrent Steal.
-  bool Pop(int64_t* item);
-
-  /// Any thread: steals the oldest item. Returns false when the deque looks
-  /// empty or the steal lost a race (callers should treat false as "try
-  /// elsewhere", not "permanently empty").
-  bool Steal(int64_t* item);
-
-  /// Approximate size; exact only under quiescence.
-  int64_t size() const {
-    const int64_t b = bottom_.load(std::memory_order_seq_cst);
-    const int64_t t = top_.load(std::memory_order_seq_cst);
-    return b > t ? b - t : 0;
-  }
-
- private:
-  struct Ring {
-    explicit Ring(int64_t capacity);
-    int64_t capacity;
-    int64_t mask;
-    std::unique_ptr<std::atomic<int64_t>[]> slots;
-  };
-
-  // Allocates a ring of at least double the capacity, copies the live
-  // window [top, bottom), publishes it, and retires the old ring.
-  Ring* Grow(Ring* ring, int64_t top, int64_t bottom);
-
-  std::atomic<int64_t> top_{0};
-  std::atomic<int64_t> bottom_{0};
-  std::atomic<Ring*> ring_;
-  // Rings replaced by growth; freed only at Reset/destruction (owner-only).
-  std::vector<std::unique_ptr<Ring>> retired_;
-};
-
 /// A fixed-size pool of worker threads for data-parallel loops. Built for
-/// TANE's level execution: ParallelFor seeds one work-stealing deque per
-/// worker with the indices congruent to that worker mod num_threads (pushed
-/// in descending order, so each owner pops its own indices in ascending
-/// order), and a worker whose own deque runs dry steals from its peers.
-/// Compared to the previous shared-counter sharding this keeps hot indices
-/// in per-worker deques (no contended fetch_add per index) while still
-/// balancing uneven per-index costs through stealing.
+/// TANE's level execution: every participant of a ParallelFor claims the
+/// next index from one shared counter until the indices run out, so
+/// indices are claimed in ascending order — the property the level
+/// loop's commit gate rests on (see DESIGN.md §7) — and a slow index
+/// never holds back the others, which keep claiming past it.
 ///
 /// `num_threads` counts the calling thread: a pool of size N spawns N-1
 /// background workers and the ParallelFor caller participates as worker 0.
@@ -141,11 +64,13 @@ class ThreadPool {
   /// Invokes fn(worker, index) exactly once for every index in [0, count),
   /// sharded across the pool, and blocks until all invocations return. The
   /// worker argument is in [0, num_threads) and is stable for the duration
-  /// of one invocation — use it to select per-worker scratch state. Worker
-  /// w drains its own indices (w, w+T, w+2T, …) in ascending order before
-  /// stealing from peers. `fn` must not throw and must not call ParallelFor
-  /// reentrantly. Cooperative cancellation is the callback's job: a
-  /// cancelled fn should return immediately, it cannot be interrupted.
+  /// of one invocation — use it to select per-worker scratch state.
+  /// Indices are claimed in ascending order across the pool, so the indices
+  /// one worker runs ascend too, and an index is only claimed once every
+  /// lower index has been. `fn` may therefore block until lower indices
+  /// finish; it must not throw and must not call ParallelFor reentrantly.
+  /// Cooperative cancellation is the callback's job: a cancelled fn should
+  /// return immediately, it cannot be interrupted.
   ParallelForStats ParallelFor(int64_t count,
                                const std::function<void(int, int64_t)>& fn)
       TANE_EXCLUDES(mu_);
@@ -161,19 +86,20 @@ class ThreadPool {
 
  private:
   void WorkerLoop(int worker) TANE_EXCLUDES(mu_);
-  // Drains indices for this job — own deque first, then steal sweeps over
-  // peers — until no deque holds one, invoking `fn`; returns this
-  // participant's busy seconds (first drained index to last).
+  // Claims indices of this job until one reaches `count`, invoking `fn`;
+  // returns this participant's busy seconds (first drained index to last).
   // The job is passed by argument (captured from the guarded members under
   // mu_) so the drain loop itself touches no lock-protected state.
-  double Drain(int worker, const std::function<void(int, int64_t)>& fn);
+  double Drain(int worker, int64_t count,
+               const std::function<void(int, int64_t)>& fn);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
-  // One deque per worker. Seeded by the coordinator before the epoch is
-  // published (the mu_ handshake orders seeding before any worker drains),
-  // then owner-popped / peer-stolen lock-free during the job.
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques_;
+  // The next unclaimed index of the current job, reset under mu_ before the
+  // epoch is published. A lone claim counter whose relaxed RMWs are the
+  // whole contract: atomicity alone hands every index out exactly once.
+  // tane-lint: allow(naked-atomic)
+  std::atomic<int64_t> next_index_{0};
   // Set/cleared only while no ParallelFor is in flight (see setter docs),
   // so the pool reads it without synchronization.
   std::function<void(const ParallelForSlice&)> slice_hook_;
@@ -183,6 +109,7 @@ class ThreadPool {
   CondVar done_cv_;   // signals the caller: workers drained
   const std::function<void(int, int64_t)>* fn_ TANE_GUARDED_BY(mu_) =
       nullptr;  // current job
+  int64_t count_ TANE_GUARDED_BY(mu_) = 0;  // current job's index count
   uint64_t epoch_ TANE_GUARDED_BY(mu_) =
       0;  // bumped per job so workers see exactly one wake
   int running_ TANE_GUARDED_BY(mu_) =

@@ -157,6 +157,28 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   EXPECT_EQ(kernel.code, 2);
   EXPECT_NE(kernel.err.find("unknown flag --kernel"), std::string::npos)
       << kernel.err;
+  // Integer flags stored in an int are range-checked, not narrowed: 2^32+1
+  // threads used to run one thread, and --max-lhs=2^32 found nothing.
+  const std::vector<std::vector<std::string>> wrapping = {
+      {"discover", path, "--threads=4294967297"},
+      {"discover", path, "--threads=4294967296"},
+      {"discover", path, "--max-lhs=4294967296"},
+      {"discover", path, "--stop-after-level=4294967296"},
+      {"discover", path, "--profile=4294967296"},
+      {"generate", "wbc", "--copies=4294967297"},
+  };
+  for (const std::vector<std::string>& args : wrapping) {
+    const std::string& flag = args.back();
+    const CliResult result = RunCli(args);
+    EXPECT_EQ(result.code, 2) << flag;
+    EXPECT_NE(result.err.find(flag.substr(0, flag.find('='))),
+              std::string::npos)
+        << result.err;
+    EXPECT_NE(result.err.find(flag.substr(flag.find('=') + 1)),
+              std::string::npos)
+        << result.err;
+    EXPECT_TRUE(result.out.empty()) << flag;
+  }
   EXPECT_EQ(RunCli({"discover", "/does/not/exist.csv"}).code, 5);
   EXPECT_EQ(RunCli({"discover"}).code, 2);
   std::remove(path.c_str());

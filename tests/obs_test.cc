@@ -653,8 +653,8 @@ TEST(SpanStackTest, WorkerDrainsCarryTheCollectiveLabel) {
     // The thread running this index registered its stack to take the
     // sample above, so the registry holds at least that thread. Checked on
     // every index, not on one worker's: which threads run indices is
-    // scheduling-dependent, and under load thieves can drain even the
-    // caller's own deque before it runs one.
+    // scheduling-dependent, and under load the other workers can claim
+    // every index before the caller claims one.
     if (!SpanStack::SampleAll().empty()) {
       sampled.fetch_add(1, std::memory_order_relaxed);
     }

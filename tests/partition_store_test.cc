@@ -1,5 +1,6 @@
 #include "core/partition_store.h"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -84,6 +85,54 @@ TEST(MemoryPartitionStoreTest, PeekBorrowsWithoutCopy) {
   EXPECT_EQ(*borrowed, SamplePartition());
   TANE_ASSERT_OK(store.Release(*handle));
   EXPECT_EQ(store.Peek(*handle), nullptr);
+}
+
+// The borrow contract the level loop's resolved parent table relies on:
+// pointers from Peek stay valid and unchanged while another thread Puts
+// enough partitions to rehash the store's maps many times over. Under the
+// tsan preset, a Put that moved or rewrote a borrowed partition is a race.
+void ExerciseBorrowsSurviveConcurrentPuts(PartitionStore* store) {
+  constexpr int kBorrowed = 32;
+  constexpr int kConcurrentPuts = 4096;
+  // Distinct contents per borrowed handle: row counts 8, 9, 10, ...
+  auto expected = [](int i) {
+    return StrippedPartition::Create(8 + i, {0, 1, 2, 3, 4}, {0, 2, 5}, true)
+        .value();
+  };
+  store->BeginTaskWindow();
+  std::vector<int64_t> handles;
+  std::vector<const StrippedPartition*> borrowed;
+  for (int i = 0; i < kBorrowed; ++i) {
+    StatusOr<int64_t> handle = store->Put(expected(i));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+    borrowed.push_back(store->Peek(*handle));
+    ASSERT_NE(borrowed.back(), nullptr);
+  }
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kConcurrentPuts; ++i) {
+      EXPECT_TRUE(store->Put(SamplePartition()).ok());
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  // Keep checking until a full pass starts after the last Put.
+  bool done = false;
+  while (!done) {
+    done = writer_done.load(std::memory_order_acquire);
+    for (int i = 0; i < kBorrowed; ++i) {
+      EXPECT_EQ(*borrowed[i], expected(i)) << "handle " << handles[i];
+      EXPECT_EQ(store->Peek(handles[i]), borrowed[i])
+          << "handle " << handles[i];
+    }
+  }
+  writer.join();
+  TANE_ASSERT_OK(store->EndTaskWindow());
+}
+
+TEST(MemoryPartitionStoreTest, PeekBorrowsSurviveConcurrentPuts) {
+  MemoryPartitionStore store;
+  ExerciseBorrowsSurviveConcurrentPuts(&store);
 }
 
 TEST(MemoryPartitionStoreTest, TracksResidentBytes) {
@@ -340,6 +389,12 @@ TEST(AutoPartitionStoreTest, StaysInMemoryUnderBudget) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded, SamplePartition());
   TANE_ASSERT_OK(store.Release(*handle));
+}
+
+TEST(AutoPartitionStoreTest, PeekBorrowsSurviveConcurrentPutsBeforeSpill) {
+  AutoPartitionStore store(/*budget_bytes=*/int64_t{1} << 30, "");
+  ExerciseBorrowsSurviveConcurrentPuts(&store);
+  EXPECT_FALSE(store.spilled());
 }
 
 TEST(AutoPartitionStoreTest, SpillsOnceBudgetExceededAndHandlesSurvive) {

@@ -1,6 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -11,114 +10,6 @@
 
 namespace tane {
 namespace {
-
-TEST(WorkStealingDequeTest, OwnerPopsInLifoOrder) {
-  WorkStealingDeque deque;
-  for (int64_t i = 1; i <= 3; ++i) deque.Push(i);
-  int64_t item = 0;
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 3);
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 2);
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 1);
-  EXPECT_FALSE(deque.Pop(&item));
-}
-
-TEST(WorkStealingDequeTest, ThievesStealInFifoOrder) {
-  WorkStealingDeque deque;
-  for (int64_t i = 1; i <= 3; ++i) deque.Push(i);
-  int64_t item = 0;
-  ASSERT_TRUE(deque.Steal(&item));
-  EXPECT_EQ(item, 1);
-  ASSERT_TRUE(deque.Steal(&item));
-  EXPECT_EQ(item, 2);
-  ASSERT_TRUE(deque.Steal(&item));
-  EXPECT_EQ(item, 3);
-  EXPECT_FALSE(deque.Steal(&item));
-}
-
-TEST(WorkStealingDequeTest, GrowsPastCapacityHint) {
-  WorkStealingDeque deque(/*capacity_hint=*/2);
-  constexpr int64_t kCount = 1000;
-  for (int64_t i = 0; i < kCount; ++i) deque.Push(i);
-  EXPECT_EQ(deque.size(), kCount);
-  // LIFO pops return the full range despite multiple ring growths.
-  for (int64_t expected = kCount - 1; expected >= 0; --expected) {
-    int64_t item = -1;
-    ASSERT_TRUE(deque.Pop(&item));
-    EXPECT_EQ(item, expected);
-  }
-}
-
-TEST(WorkStealingDequeTest, ResetEmptiesAndStaysUsable) {
-  WorkStealingDeque deque(/*capacity_hint=*/4);
-  for (int64_t i = 0; i < 100; ++i) deque.Push(i);
-  deque.Reset(/*capacity_hint=*/8);
-  int64_t item = 0;
-  EXPECT_FALSE(deque.Pop(&item));
-  EXPECT_EQ(deque.size(), 0);
-  deque.Push(42);
-  ASSERT_TRUE(deque.Pop(&item));
-  EXPECT_EQ(item, 42);
-}
-
-// The steal-vs-pop race: an owner pushing and popping at the bottom while
-// several thieves hammer the top. Every item must be claimed exactly once,
-// across growth, the single-item Pop/Steal race, and lost-CAS retries. Run
-// under the tsan preset this doubles as the memory-model check for the
-// seq_cst Chase-Lev variant.
-TEST(WorkStealingDequeTest, StealVsPopStressClaimsEveryItemExactlyOnce) {
-  constexpr int64_t kItems = 20000;
-  constexpr int kThieves = 3;
-  WorkStealingDeque deque(/*capacity_hint=*/2);  // force growth mid-race
-  std::vector<std::atomic<int>> claims(kItems);
-  std::atomic<bool> owner_done{false};
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      int64_t item = -1;
-      // Keep sweeping until the owner is done AND the deque reads empty:
-      // Steal returning false can be a lost race, not exhaustion.
-      while (!owner_done.load(std::memory_order_acquire) ||
-             deque.size() > 0) {
-        if (deque.Steal(&item)) {
-          claims[item].fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-      while (deque.Steal(&item)) {
-        claims[item].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  // The owner alternates burst-pushes with pops, like a worker executing
-  // its own tasks while peers steal the oldest ones.
-  int64_t next = 0;
-  int64_t item = -1;
-  while (next < kItems) {
-    const int64_t burst = std::min<int64_t>(64, kItems - next);
-    for (int64_t i = 0; i < burst; ++i) deque.Push(next++);
-    for (int64_t i = 0; i < burst / 2; ++i) {
-      if (deque.Pop(&item)) {
-        claims[item].fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  while (deque.Pop(&item)) {
-    claims[item].fetch_add(1, std::memory_order_relaxed);
-  }
-  owner_done.store(true, std::memory_order_release);
-  for (std::thread& thief : thieves) thief.join();
-
-  for (int64_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(claims[i].load(), 1) << "item " << i;
-  }
-}
 
 TEST(ThreadPoolTest, VisitsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -189,8 +80,8 @@ TEST(ThreadPoolTest, StatsAreNonNegativeAndBusyCoversWork) {
 }
 
 TEST(ThreadPoolTest, ReturnsOnlyAfterTheSlowestIndexFinishes) {
-  // Workers that find every deque empty leave the job while index 0 still
-  // runs; ParallelFor must still wait for it.
+  // Workers whose claims run past the last index leave the job while index
+  // 0 still runs; ParallelFor must still wait for it.
   ThreadPool pool(4);
   std::atomic<bool> slow_done{false};
   std::vector<std::atomic<int>> visits(64);
@@ -204,6 +95,42 @@ TEST(ThreadPoolTest, ReturnsOnlyAfterTheSlowestIndexFinishes) {
   EXPECT_TRUE(slow_done.load());
   for (int64_t i = 0; i < 64; ++i) {
     EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+}
+
+// The contract the level loop's commit gate rests on: indices are claimed
+// in ascending order, so a body may wait for lower indices to finish. Here
+// fn(i) waits until every index below i - gate has finished (gate 0 makes
+// the whole job one chain). Every call must return, and the indices each
+// worker runs must ascend.
+TEST(ThreadPoolTest, BodiesWaitingOnLowerIndicesAllReturn) {
+  constexpr int64_t kCount = 400;
+  for (int threads : {2, 4, 8}) {
+    for (int64_t gate : {0, 1, 8}) {
+      ThreadPool pool(threads);
+      std::vector<std::atomic<bool>> finished(kCount);
+      // Entry w is only touched by worker w's thread.
+      std::vector<int64_t> last_index(threads, -1);
+      std::atomic<bool> out_of_order{false};
+      std::atomic<int64_t> calls{0};
+      pool.ParallelFor(kCount, [&](int worker, int64_t i) {
+        if (i <= last_index[worker]) {
+          out_of_order.store(true, std::memory_order_relaxed);
+        }
+        last_index[worker] = i;
+        for (int64_t j = 0; j < i - gate; ++j) {
+          while (!finished[j].load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        }
+        calls.fetch_add(1, std::memory_order_relaxed);
+        finished[i].store(true, std::memory_order_release);
+      });
+      EXPECT_EQ(calls.load(), kCount)
+          << threads << " threads, gate " << gate;
+      EXPECT_FALSE(out_of_order.load())
+          << threads << " threads, gate " << gate;
+    }
   }
 }
 

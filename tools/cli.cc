@@ -1,6 +1,7 @@
 #include "tools/cli.h"
 
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -192,6 +193,19 @@ StatusOr<int64_t> FlagAsInt(const ParsedArgs& args, const std::string& name,
   return value;
 }
 
+// FlagAsInt for a flag stored in an `int`: a value outside int's range is
+// rejected rather than wrapped by the narrowing.
+StatusOr<int> FlagAsNarrowInt(const ParsedArgs& args, const std::string& name,
+                              int fallback) {
+  TANE_ASSIGN_OR_RETURN(const int64_t value, FlagAsInt(args, name, fallback));
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("bad --" + name + " value: " +
+                                   *args.Flag(name) + " (out of range)");
+  }
+  return static_cast<int>(value);
+}
+
 StatusOr<Relation> LoadCsv(const ParsedArgs& args) {
   if (args.positional.empty()) {
     return Status::InvalidArgument("missing input file");
@@ -215,15 +229,14 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
   const double read_seconds = read_timer.ElapsedSeconds();
   TaneConfig config;
   TANE_ASSIGN_OR_RETURN(config.epsilon, FlagAsDouble(args, "epsilon", 0.0));
-  TANE_ASSIGN_OR_RETURN(int64_t max_lhs,
-                        FlagAsInt(args, "max-lhs", kMaxAttributes));
-  config.max_lhs_size = static_cast<int>(max_lhs);
+  TANE_ASSIGN_OR_RETURN(config.max_lhs_size,
+                        FlagAsNarrowInt(args, "max-lhs", kMaxAttributes));
   TANE_ASSIGN_OR_RETURN(int64_t deadline_ms,
                         FlagAsInt(args, "deadline-ms", 0));
   TANE_ASSIGN_OR_RETURN(int64_t budget_mb,
                         FlagAsInt(args, "memory-budget-mb", 0));
-  TANE_ASSIGN_OR_RETURN(int64_t threads, FlagAsInt(args, "threads", 1));
-  config.num_threads = static_cast<int>(threads);
+  TANE_ASSIGN_OR_RETURN(config.num_threads,
+                        FlagAsNarrowInt(args, "threads", 1));
   if (deadline_ms < 0) {
     return Status::InvalidArgument("--deadline-ms must be >= 0");
   }
@@ -240,9 +253,8 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
     config.checkpoint_every_level = true;
   }
   if (args.Flag("resume") != nullptr) config.resume = true;
-  TANE_ASSIGN_OR_RETURN(int64_t stop_after_level,
-                        FlagAsInt(args, "stop-after-level", 0));
-  config.stop_after_level = static_cast<int>(stop_after_level);
+  TANE_ASSIGN_OR_RETURN(config.stop_after_level,
+                        FlagAsNarrowInt(args, "stop-after-level", 0));
 
   if (args.Flag("disk") != nullptr) config.storage = StorageMode::kDisk;
   if (const std::string* storage = args.Flag("storage")) {
@@ -300,9 +312,12 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
   if (profile != nullptr || args.Flag("profile-out") != nullptr) {
     int64_t hz = obs::Profiler::kDefaultHz;
     if (profile != nullptr && !profile->empty() &&
-        (!ParseInt64(*profile, &hz) || hz <= 0)) {
-      return Status::InvalidArgument("--profile rate must be > 0, got " +
-                                     *profile);
+        (!ParseInt64(*profile, &hz) || hz <= 0 ||
+         hz > std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument("--profile rate must be in [1, " +
+                                     std::to_string(
+                                         std::numeric_limits<int>::max()) +
+                                     "], got " + *profile);
     }
     profiler.Start(static_cast<int>(hz));
   }
@@ -593,13 +608,13 @@ Status RunGenerate(const ParsedArgs& args, std::ostream& out) {
                         ParsePaperDatasetName(args.positional[0]));
   TANE_ASSIGN_OR_RETURN(int64_t rows, FlagAsInt(args, "rows", 0));
   TANE_ASSIGN_OR_RETURN(int64_t seed, FlagAsInt(args, "seed", 42));
-  TANE_ASSIGN_OR_RETURN(int64_t copies, FlagAsInt(args, "copies", 1));
+  TANE_ASSIGN_OR_RETURN(const int copies,
+                        FlagAsNarrowInt(args, "copies", 1));
   TANE_ASSIGN_OR_RETURN(
       Relation relation,
       MakePaperDataset(dataset, rows, static_cast<uint64_t>(seed)));
   if (copies > 1) {
-    TANE_ASSIGN_OR_RETURN(relation, ConcatenateCopies(
-                                        relation, static_cast<int>(copies)));
+    TANE_ASSIGN_OR_RETURN(relation, ConcatenateCopies(relation, copies));
   }
   WriteCsv(relation, out);
   return Status::OK();

@@ -24,11 +24,6 @@ Protocol checks (declared files — see DESIGN.md §16 for the invariants):
       acquire-or-stronger, a second read exists, and an acquire fence sits
       between the payload loads and the re-read (a load-acquire re-read
       does NOT order the earlier payload loads; only the fence does).
-  chase-lev(words...)
-      Every op on the named deque words stays seq_cst: this repo
-      deliberately runs the seq_cst Chase–Lev variant so TSan can verify
-      it natively. Quiescent paths (ctor/reset/teardown) may relax with a
-      waiver carrying that rationale.
   single-writer(published_words...)
       Stores may be relaxed (one writer, no self-races), but cross-thread
       readers of the named published words — loads in functions that never
@@ -45,7 +40,7 @@ from . import model
 
 RULE = "atomics-contract"
 
-PROTOCOLS = ("seqlock", "spsc-ring", "chase-lev", "single-writer")
+PROTOCOLS = ("seqlock", "spsc-ring", "single-writer")
 
 
 def _is_atomic(program, source, op):
@@ -162,20 +157,6 @@ def _check_seqlock(source, emit):
                      "loads that precede it")
 
 
-def _check_chase_lev(source, emit):
-    words = source.protocol.words
-    for func, op in source.all_atomic_ops():
-        if not _touches(op, words):
-            continue
-        orders = set(op.orders)
-        if orders and orders != {"seq_cst"}:
-            emit(RULE, source, op.line,
-                 f"chase-lev op on `{op.obj}` uses "
-                 f"{'/'.join(sorted(orders))}; the deque stays seq_cst so "
-                 "TSan verifies it natively (DESIGN.md §16) — waive "
-                 "quiescent paths with the single-threaded rationale")
-
-
 def _check_single_writer(source, emit):
     words = source.protocol.words
     if not words:
@@ -247,8 +228,6 @@ def run(program, emit):
         kind = source.protocol.kind
         if kind == "seqlock":
             _check_seqlock(source, emit)
-        elif kind == "chase-lev":
-            _check_chase_lev(source, emit)
         elif kind == "single-writer":
             _check_single_writer(source, emit)
         elif kind == "spsc-ring":
