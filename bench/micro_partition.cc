@@ -5,6 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "bench/bench_common.h"
 #include "core/partition_store.h"
 #include "datasets/generators.h"
@@ -102,6 +108,37 @@ void BM_GenerateNextLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateNextLevel)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_GenerateNextLevelPruned(benchmark::State& state) {
+  // A mid-lattice level as the search meets it: the ℓ-subsets of 16
+  // attributes with 10% dropped, in shuffled order, so rows lose
+  // candidates to missing subsets. Timed with the subset positions the
+  // level driver asks for.
+  const int ell = static_cast<int>(state.range(0));
+  std::mt19937 rng(static_cast<uint32_t>(ell));
+  std::vector<AttributeSet> level;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << 16); ++mask) {
+    if (std::popcount(mask) == ell && rng() % 10 != 0) {
+      level.push_back(AttributeSet::FromMask(mask));
+    }
+  }
+  std::shuffle(level.begin(), level.end(), rng);
+  std::vector<int32_t> positions;
+  size_t candidates = 0;
+  for (auto _ : state) {
+    const std::vector<LevelCandidate> next =
+        GenerateNextLevel(level, &positions);
+    candidates = next.size();
+    benchmark::DoNotOptimize(next.data());
+    benchmark::DoNotOptimize(positions.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(level.size()));
+  state.counters["sets"] = static_cast<double>(level.size());
+  state.counters["candidates"] = static_cast<double>(candidates);
+}
+BENCHMARK(BM_GenerateNextLevelPruned)->Arg(5)->Arg(7);
 
 void BM_StrippedVsUnstrippedProduct(benchmark::State& state) {
   // Near-unique columns: stripping removes most classes, making products

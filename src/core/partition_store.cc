@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -29,41 +30,37 @@ namespace fs = std::filesystem;
 
 StatusOr<int64_t> MemoryPartitionStore::Put(StrippedPartition partition) {
   MutexLock lock(&mu_);
-  const int64_t handle = next_handle_++;
   resident_bytes_ += partition.EstimatedBytes();
-  partitions_.emplace(handle, std::move(partition));
-  return handle;
+  return partitions_.Add(std::move(partition));
 }
 
 StatusOr<StrippedPartition> MemoryPartitionStore::Get(int64_t handle) {
   MutexLock lock(&mu_);
-  auto it = partitions_.find(handle);
-  if (it == partitions_.end()) {
+  const StrippedPartition* partition = partitions_.Find(handle);
+  if (partition == nullptr) {
     return Status::NotFound("no partition with handle " +
                             std::to_string(handle));
   }
-  return it->second;
+  return *partition;
 }
 
 const StrippedPartition* MemoryPartitionStore::Peek(int64_t handle) const {
   MutexLock lock(&mu_);
-  auto it = partitions_.find(handle);
-  // The pointer outlives the lock: elements of an unordered_map are stable
-  // until erased, so concurrent Puts (rehashes included) never move the
-  // partition; only Release of this handle invalidates the pointer.
-  return it == partitions_.end() ? nullptr : &it->second;
+  // The pointer outlives the lock: the handle table moves no stored
+  // partition on a Put or on another handle's Release, so only Release of
+  // this handle invalidates it.
+  return partitions_.Find(handle);
 }
 
 Status MemoryPartitionStore::Release(int64_t handle) {
   MutexLock lock(&mu_);
-  auto it = partitions_.find(handle);
-  if (it == partitions_.end()) {
+  std::optional<StrippedPartition> partition = partitions_.Take(handle);
+  if (!partition.has_value()) {
     return Status::NotFound("release of unknown handle " +
                             std::to_string(handle));
   }
-  resident_bytes_ -= it->second.EstimatedBytes();
-  if (pool_ != nullptr) pool_->Recycle(std::move(it->second));
-  partitions_.erase(it);
+  resident_bytes_ -= partition->EstimatedBytes();
+  if (pool_ != nullptr) pool_->Recycle(std::move(*partition));
   return Status::OK();
 }
 
@@ -327,9 +324,8 @@ StatusOr<int64_t> DiskPartitionStore::Put(StrippedPartition partition) {
   // reuse by the next product.
   if (pool_ != nullptr) pool_->Recycle(std::move(partition));
 
-  const int64_t handle = next_handle_++;
-  entries_[handle] =
-      Entry{segment_id, offset, static_cast<int64_t>(record.size())};
+  const int64_t handle = entries_.Add(
+      Entry{segment_id, offset, static_cast<int64_t>(record.size())});
   if (segment.bytes >= kSegmentBytes) segment.sealed = true;
   return handle;
 }
@@ -339,12 +335,12 @@ StatusOr<StrippedPartition> DiskPartitionStore::Get(int64_t handle) {
   // and the segment behind a live handle cannot be unlinked while readers
   // hold the shared lock (Release takes it exclusively).
   ReaderMutexLock lock(&mu_);
-  auto it = entries_.find(handle);
-  if (it == entries_.end()) {
+  const Entry* found = entries_.Find(handle);
+  if (found == nullptr) {
     return Status::NotFound("no partition with handle " +
                             std::to_string(handle));
   }
-  const Entry& entry = it->second;
+  const Entry& entry = *found;
   const Segment& segment = segments_[entry.segment];
   std::string record(entry.size, '\0');
   const Status status = RetryWithBackoff(retry_policy_, [&] {
@@ -376,13 +372,12 @@ StatusOr<StrippedPartition> DiskPartitionStore::Get(int64_t handle) {
 
 Status DiskPartitionStore::Release(int64_t handle) {
   WriterMutexLock lock(&mu_);
-  auto it = entries_.find(handle);
-  if (it == entries_.end()) {
+  const std::optional<Entry> entry = entries_.Take(handle);
+  if (!entry.has_value()) {
     return Status::NotFound("release of unknown handle " +
                             std::to_string(handle));
   }
-  const int32_t segment_id = it->second.segment;
-  entries_.erase(it);
+  const int32_t segment_id = entry->segment;
   --segments_[segment_id].live_partitions;
   // The newest segment is sealed on release pressure too: once TANE starts
   // releasing a level, the segments holding it should become reclaimable
@@ -415,8 +410,7 @@ StatusOr<int64_t> AutoPartitionStore::Put(StrippedPartition partition) {
   } else {
     TANE_ASSIGN_OR_RETURN(inner, disk_->Put(std::move(partition)));
   }
-  const int64_t handle = next_handle_++;
-  inner_handles_[handle] = inner;
+  const int64_t handle = inner_handles_.Add(inner);
   if (disk_ == nullptr && budget_bytes_ > 0 &&
       memory_.resident_bytes() > budget_bytes_) {
     if (in_window_) {
@@ -453,56 +447,57 @@ Status AutoPartitionStore::SpillToDisk() {
   TANE_ASSIGN_OR_RETURN(disk_, DiskPartitionStore::Open(spill_directory_));
   if (pool_ != nullptr) disk_->set_buffer_pool(pool_);
   if (metrics_ != nullptr) disk_->set_metrics(metrics_);
-  // Hash order only decides the physical order partitions migrate in; the
-  // outer handles (the only thing callers see) are unchanged, so nothing
-  // here can reach the output. tane-analyzer: allow(determinism)
-  for (auto& [handle, inner] : inner_handles_) {
-    TANE_ASSIGN_OR_RETURN(StrippedPartition partition, memory_.Get(inner));
+  // Partitions migrate in handle order; the outer handles (the only thing
+  // callers see) stay unchanged.
+  int64_t migrated = 0;
+  for (int64_t handle = inner_handles_.begin_handle();
+       handle < inner_handles_.end_handle(); ++handle) {
+    int64_t* inner = inner_handles_.Find(handle);
+    if (inner == nullptr) continue;
+    TANE_ASSIGN_OR_RETURN(StrippedPartition partition, memory_.Get(*inner));
     TANE_ASSIGN_OR_RETURN(const int64_t disk_handle,
                           disk_->Put(std::move(partition)));
-    TANE_RETURN_IF_ERROR(memory_.Release(inner));
-    inner = disk_handle;
+    TANE_RETURN_IF_ERROR(memory_.Release(*inner));
+    *inner = disk_handle;
+    ++migrated;
   }
   if (metrics_ != nullptr) metrics_->SetGauge(obs::kDegradedToDisk, 1);
-  span.AddArg("migrated_partitions",
-              static_cast<int64_t>(inner_handles_.size()));
+  span.AddArg("migrated_partitions", migrated);
   // A mid-run spill is exactly the kind of state transition a postmortem
   // wants on the timeline: runs that died shortly after degrading to disk
   // read very differently from runs that died in memory.
   if (obs::FlightRecorder* recorder = obs::FlightRecorder::active()) {
     recorder->Record(-1, obs::FlightEventType::kSpill, "spill-to-disk",
-                     static_cast<int64_t>(inner_handles_.size()));
+                     migrated);
   }
   return Status::OK();
 }
 
 StatusOr<StrippedPartition> AutoPartitionStore::Get(int64_t handle) {
   ReaderMutexLock lock(&mu_);
-  auto it = inner_handles_.find(handle);
-  if (it == inner_handles_.end()) {
+  const int64_t* inner = inner_handles_.Find(handle);
+  if (inner == nullptr) {
     return Status::NotFound("no partition with handle " +
                             std::to_string(handle));
   }
-  return disk_ == nullptr ? memory_.Get(it->second) : disk_->Get(it->second);
+  return disk_ == nullptr ? memory_.Get(*inner) : disk_->Get(*inner);
 }
 
 Status AutoPartitionStore::Release(int64_t handle) {
   WriterMutexLock lock(&mu_);
-  auto it = inner_handles_.find(handle);
-  if (it == inner_handles_.end()) {
+  const std::optional<int64_t> inner = inner_handles_.Take(handle);
+  if (!inner.has_value()) {
     return Status::NotFound("release of unknown handle " +
                             std::to_string(handle));
   }
-  const int64_t inner = it->second;
-  inner_handles_.erase(it);
-  return disk_ == nullptr ? memory_.Release(inner) : disk_->Release(inner);
+  return disk_ == nullptr ? memory_.Release(*inner) : disk_->Release(*inner);
 }
 
 const StrippedPartition* AutoPartitionStore::Peek(int64_t handle) const {
   ReaderMutexLock lock(&mu_);
   if (disk_ != nullptr) return nullptr;
-  auto it = inner_handles_.find(handle);
-  return it == inner_handles_.end() ? nullptr : memory_.Peek(it->second);
+  const int64_t* inner = inner_handles_.Find(handle);
+  return inner == nullptr ? nullptr : memory_.Peek(*inner);
 }
 
 }  // namespace tane

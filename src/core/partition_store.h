@@ -2,9 +2,12 @@
 #define TANE_CORE_PARTITION_STORE_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "partition/buffer_pool.h"
 #include "partition/stripped_partition.h"
@@ -25,15 +28,20 @@ class Tracer;
 /// level; TANE/MEM keeps them in RAM. The driver is written against this
 /// interface so both variants share one code path.
 ///
+/// Handles: every implementation issues them densely from 0, in the order
+/// Put is called in, and never reuses one. Get, Release and Peek of a
+/// released, negative or never-issued handle fail (NotFound, or a null
+/// Peek).
+///
 /// Thread-safety: every implementation below guards its state with a lock,
 /// so any method may be called from any thread. TANE's level loop resolves
 /// the parent level's partitions once per task window with Peek on the
 /// coordinator and hands workers the borrowed pointers, so a worker only
 /// reaches the store itself (Get, for a copy) when Peek cannot serve a
-/// borrow. A pointer returned by Peek stays valid across concurrent Puts
-/// of *other* handles inside a task window (see BeginTaskWindow); only
-/// Release of the peeked handle — or a store migration at a window
-/// boundary — invalidates it.
+/// borrow. A pointer returned by Peek stays valid across Puts of other
+/// handles, concurrent ones included, and across Releases of other
+/// handles; only Release of the peeked handle — or a store migration at a
+/// window boundary (see BeginTaskWindow) — invalidates it.
 class PartitionStore {
  public:
   virtual ~PartitionStore() = default;
@@ -92,14 +100,77 @@ class PartitionStore {
 
   /// Total bytes ever written to secondary storage (0 for memory stores).
   virtual int64_t bytes_written() const = 0;
+
+ protected:
+  /// The per-handle state of a store, addressed by position: handle h is
+  /// slot h − base. Release empties a slot in place and pops the released
+  /// prefix, so the table spans the oldest live handle to the newest.
+  /// std::deque's push_back and pop_front move no other element, so a
+  /// pointer to a live handle's value stays valid until that handle is
+  /// released — the borrow contract Peek rests on. Not thread-safe; each
+  /// store guards its table with its own lock.
+  template <typename T>
+  class HandleTable {
+   public:
+    /// Stores `value` under the next handle and returns that handle.
+    int64_t Add(T value) {
+      slots_.emplace_back(std::move(value));
+      return base_ + static_cast<int64_t>(slots_.size()) - 1;
+    }
+
+    /// The value of a live handle, or nullptr for a released, negative or
+    /// never-issued one.
+    T* Find(int64_t handle) {
+      const int64_t slot = Slot(handle);
+      return slot < 0 ? nullptr : &*slots_[slot];
+    }
+    const T* Find(int64_t handle) const {
+      const int64_t slot = Slot(handle);
+      return slot < 0 ? nullptr : &*slots_[slot];
+    }
+
+    /// Removes a live handle and returns its value; nullopt for a handle
+    /// Find would not serve.
+    std::optional<T> Take(int64_t handle) {
+      const int64_t slot = Slot(handle);
+      if (slot < 0) return std::nullopt;
+      std::optional<T> value = std::move(slots_[slot]);
+      slots_[slot].reset();
+      while (!slots_.empty() && !slots_.front().has_value()) {
+        slots_.pop_front();
+        ++base_;
+      }
+      return value;
+    }
+
+    /// Every live handle lies in [begin_handle(), end_handle()).
+    int64_t begin_handle() const { return base_; }
+    int64_t end_handle() const {
+      return base_ + static_cast<int64_t>(slots_.size());
+    }
+
+   private:
+    // The slot index of a live handle, else -1.
+    int64_t Slot(int64_t handle) const {
+      const int64_t slot = handle - base_;
+      return handle >= base_ && slot < static_cast<int64_t>(slots_.size()) &&
+                     slots_[slot].has_value()
+                 ? slot
+                 : -1;
+    }
+
+    std::deque<std::optional<T>> slots_;
+    int64_t base_ = 0;
+  };
 };
 
 /// Keeps every partition in main memory (the TANE/MEM configuration).
 ///
-/// One mutex guards a node-stable map: a Put, even one that rehashes the
-/// map, never moves a stored partition, which is what keeps Peek borrows
-/// valid across the commit frontier's Puts. Handles are issued in the
-/// order Put is called in, which the commit frontier keeps deterministic.
+/// One mutex guards a handle table (PartitionStore::HandleTable): a Put
+/// appends a slot and never moves a stored partition, which is what keeps
+/// Peek borrows valid across the commit frontier's Puts. Handles are issued
+/// in the order Put is called in, which the commit frontier keeps
+/// deterministic.
 class MemoryPartitionStore : public PartitionStore {
  public:
   MemoryPartitionStore() = default;
@@ -117,10 +188,8 @@ class MemoryPartitionStore : public PartitionStore {
 
  private:
   mutable Mutex mu_;
-  std::unordered_map<int64_t, StrippedPartition> partitions_
-      TANE_GUARDED_BY(mu_);
+  HandleTable<StrippedPartition> partitions_ TANE_GUARDED_BY(mu_);
   int64_t resident_bytes_ TANE_GUARDED_BY(mu_) = 0;
-  int64_t next_handle_ TANE_GUARDED_BY(mu_) = 0;
   PartitionBufferPool* pool_ TANE_GUARDED_BY(mu_) = nullptr;
 };
 
@@ -221,11 +290,10 @@ class DiskPartitionStore : public PartitionStore {
   // Immutable after Open(); readable without the lock.
   std::string directory_;
   bool owns_directory_ = false;
-  std::unordered_map<int64_t, Entry> entries_ TANE_GUARDED_BY(mu_);
+  HandleTable<Entry> entries_ TANE_GUARDED_BY(mu_);
   std::vector<Segment> segments_ TANE_GUARDED_BY(mu_);
   PartitionBufferPool* pool_ TANE_GUARDED_BY(mu_) = nullptr;
   obs::MetricsRegistry* metrics_ TANE_GUARDED_BY(mu_) = nullptr;
-  int64_t next_handle_ TANE_GUARDED_BY(mu_) = 0;
   int64_t bytes_written_ TANE_GUARDED_BY(mu_) = 0;
   // Installed before the store sees concurrent traffic (test-only setter).
   RetryPolicy retry_policy_;
@@ -298,9 +366,8 @@ class AutoPartitionStore : public PartitionStore {
   obs::MetricsRegistry* metrics_ TANE_GUARDED_BY(mu_) = nullptr;
   obs::Tracer* tracer_ TANE_GUARDED_BY(mu_) = nullptr;
   // This store's handle -> the active inner store's handle; every entry is
-  // rewritten in place when the store migrates to disk.
-  std::unordered_map<int64_t, int64_t> inner_handles_ TANE_GUARDED_BY(mu_);
-  int64_t next_handle_ TANE_GUARDED_BY(mu_) = 0;
+  // rewritten in place, in handle order, when the store migrates to disk.
+  HandleTable<int64_t> inner_handles_ TANE_GUARDED_BY(mu_);
   // True between BeginTaskWindow and EndTaskWindow: spills are deferred.
   bool in_window_ TANE_GUARDED_BY(mu_) = false;
   // A budget breach happened mid-window; EndTaskWindow performs the spill.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -168,17 +169,19 @@ struct WindowSlot {
 };
 
 // Immutable inputs of one fused level window: the candidates (in node
-// order) with their pre-seeded C⁺ sets, and the parent level backing the
-// products and validity tests.
+// order), and the parent level backing C⁺ seeding, the products and the
+// validity tests.
 struct WindowInputs {
   // The level being built (its nodes' |X|).
   int level_number = 1;
   const std::vector<AttributeSet>* sets = nullptr;
-  const std::vector<AttributeSet>* cplus = nullptr;
-  // Parent level (survivors of level_number - 1) and its index; nullptr at
-  // level 1, where the tests run against π_∅.
+  // Parent level (survivors of level_number - 1); nullptr at level 1,
+  // where the tests run against π_∅.
   const std::vector<Node>* parents = nullptr;
-  const LevelIndex* parent_index = nullptr;
+  // GenerateNextLevel's subset positions: candidate i's X\{c}, for the
+  // t-th smallest c ∈ X, is parents[(*subsets)[i·level_number + t]].
+  // nullptr at level 1.
+  const std::vector<int32_t>* subsets = nullptr;
   // The parents' partitions, indexed like `parents`: borrowed with Peek by
   // the coordinator before the window, so workers read them without
   // touching the store. Null where the store cannot lend one (disk-backed);
@@ -190,6 +193,12 @@ struct WindowInputs {
   // The serial-fallback estimate of the window's total row work: Σ over
   // candidates of the smaller parent's member rows (or a proxy at level 1).
   int64_t est_row_work = 0;
+
+  // Candidate i's subset positions, ordered by the attribute each subset
+  // drops; null at level 1.
+  const int32_t* Subsets(int64_t i) const {
+    return subsets == nullptr ? nullptr : subsets->data() + i * level_number;
+  }
 };
 
 // Parent `pos` of a window: the coordinator's borrow when the store lent
@@ -347,7 +356,7 @@ class TaneRun {
   // distinct nodes. The C⁺ updates of lines 7-8 commute (set differences
   // and intersections), so applying them against a snapshot here and
   // merging later reproduces the serial result exactly.
-  Status ProcessNode(const WindowInputs& in, const Node& node,
+  Status ProcessNode(const WindowInputs& in, int64_t i, const Node& node,
                      const StrippedPartition* fine, WorkerState* w,
                      NodeOutcome* out);
 
@@ -578,23 +587,26 @@ class TaneRun {
     return true;
   }
 
-  // Seeds C⁺ for one candidate of `level_number` (line 2 of
+  // Seeds C⁺ for candidate `i` of a window (line 2 of
   // COMPUTE-DEPENDENCIES: ∩ of the parents' C⁺, full set at level 1) and
-  // applies the covered-rhs pruning. Runs on the coordinator before the
-  // level window, so every task starts from its final seeded value.
-  AttributeSet SeedCplus(int level_number, AttributeSet set,
-                         const std::vector<Node>* parents,
-                         const LevelIndex* parent_index) {
+  // applies the covered-rhs pruning. Runs inside the candidate's task: it
+  // reads only the parents' final C⁺ and the covered-rhs masks, and only
+  // the coordinator writes those, between windows.
+  AttributeSet SeedCplus(const WindowInputs& in, int64_t i) const {
+    const AttributeSet set = (*in.sets)[i];
     AttributeSet cplus = AttributeSet::FullSet(relation_.num_columns());
-    if (level_number > 1) {
+    if (in.level_number > 1) {
+      const int32_t* subsets = in.Subsets(i);
+      int rank = 0;
       for (int attribute : Members(set)) {
-        const int pos = parent_index->Find(set.Without(attribute));
-        // Invariant: candidate generation only emits sets whose subsets
-        // survived the previous level.
+        const Node& parent = (*in.parents)[subsets[rank++]];
+        // Invariant: GenerateNextLevel lists each candidate's subsets by
+        // the attribute they drop.
         // tane-lint: allow(tane-check)
-        TANE_CHECK(pos >= 0) << "level invariant broken: missing subset of "
-                             << set.ToString();
-        cplus = cplus.Intersect((*parents)[pos].cplus);
+        TANE_CHECK(parent.set == set.Without(attribute))
+            << "level invariant broken: wrong subset position for "
+            << set.ToString();
+        cplus = cplus.Intersect(parent.cplus);
         if (cplus.empty()) break;
       }
     }
@@ -704,6 +716,7 @@ void TaneRun::SamplePeakMemory() {
 }
 
 Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
+  obs::SpanGuard span(tracer_, "release", &metrics_);
   for (Node& node : *nodes) {
     if (node.handle >= 0) {
       TANE_RETURN_IF_ERROR(store_->Release(node.handle));
@@ -801,25 +814,27 @@ Status TaneRun::TestValidity(WorkerState* w, const WindowInputs& in,
   return Status::OK();
 }
 
-Status TaneRun::ProcessNode(const WindowInputs& in, const Node& node,
-                            const StrippedPartition* fine, WorkerState* w,
-                            NodeOutcome* out) {
+Status TaneRun::ProcessNode(const WindowInputs& in, int64_t i,
+                            const Node& node, const StrippedPartition* fine,
+                            WorkerState* w, NodeOutcome* out) {
   // Lines 3-8 for one node: test X\{A} → A for A ∈ X ∩ C⁺(X). The
   // candidate set is snapshot before any test, exactly like the serial
   // loop, so C⁺ updates from this node's own emissions never affect which
   // tests run.
   AttributeSet cplus = node.cplus;
   const AttributeSet candidates = node.set.Intersect(node.cplus);
+  const int32_t* subsets = in.Subsets(i);
   for (int attribute : Members(candidates)) {
-    const AttributeSet lhs = node.set.Without(attribute);
     int64_t prev_error = empty_error_;
     int prev_pos = -1;
     if (in.level_number > 1) {
-      prev_pos = in.parent_index->Find(lhs);
-      // Invariant: candidate generation only emits sets whose
-      // subsets survived the previous level.
+      // X\{A} drops A, whose rank in X is the count of members below it.
+      prev_pos = subsets[std::popcount(node.set.mask() &
+                                       ((uint64_t{1} << attribute) - 1))];
+      // Invariant: GenerateNextLevel lists each candidate's subsets by the
+      // attribute they drop.
       // tane-lint: allow(tane-check)
-      TANE_CHECK(prev_pos >= 0);
+      TANE_CHECK((*in.parents)[prev_pos].set == node.set.Without(attribute));
       prev_error = (*in.parents)[prev_pos].error;
     }
 
@@ -874,14 +889,9 @@ Status TaneRun::MergeOutcomes(std::vector<Node>* level,
 
 Status TaneRun::Prune(int level_number, std::vector<Node>* level,
                       DiscoveryResult* result) {
-  LevelIndex index;
-  {
-    std::vector<AttributeSet> sets;
-    sets.reserve(level->size());
-    for (const Node& node : *level) sets.push_back(node.set);
-    index = LevelIndex(sets);
-  }
-
+  // The key rule looks siblings up by set; most levels hold no key, so the
+  // index is built on the first one.
+  std::optional<LevelIndex> index;
   for (Node& node : *level) {
     // Rule 1: empty C⁺ means no superset can yield a minimal dependency.
     if (node.cplus.empty()) {
@@ -897,12 +907,18 @@ Status TaneRun::Prune(int level_number, std::vector<Node>* level,
       // Output X → A for rhs⁺ candidates outside X whose minimality is
       // certified by the C⁺ sets of this level (paper PRUNE, lines 5-7).
       if (level_number <= config_.max_lhs_size) {
+        if (!index.has_value()) {
+          std::vector<AttributeSet> sets;
+          sets.reserve(level->size());
+          for (const Node& other : *level) sets.push_back(other.set);
+          index.emplace(sets);
+        }
         for (int attribute : Members(node.cplus.Difference(node.set))) {
           bool minimal = true;
           for (int inside : Members(node.set)) {
             const AttributeSet sibling =
                 node.set.With(attribute).Without(inside);
-            const int pos = index.Find(sibling);
+            const int pos = index->Find(sibling);
             if (pos >= 0) {
               if (!(*level)[pos].cplus.Contains(attribute)) {
                 minimal = false;
@@ -990,9 +1006,10 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
   StrippedPartition partition = std::move(*slot.partition).value();
   slot.partition.reset();
 
+  // C⁺ is left for MergeOutcomes, which sets every committed node's final
+  // value from its outcome.
   Node node;
   node.set = (*ctx->in->sets)[i];
-  node.cplus = (*ctx->in->cplus)[i];
   node.error = partition.Error();
   node.member_rows = partition.num_member_rows();
   if (ctx->in->stash_singletons) {
@@ -1093,9 +1110,9 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     const StrippedPartition& built = slot.partition->value();
     Node node;
     node.set = (*in.sets)[i];
-    node.cplus = (*in.cplus)[i];
+    node.cplus = SeedCplus(in, i);
     node.error = built.Error();
-    slot.outcome.status = ProcessNode(in, node, &built, w, &slot.outcome);
+    slot.outcome.status = ProcessNode(in, i, node, &built, w, &slot.outcome);
     slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
   };
@@ -1376,9 +1393,10 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   survivor_sets.reserve(survivors->size());
   for (const Node& node : *survivors) survivor_sets.push_back(node.set);
   std::vector<LevelCandidate> candidates;
+  std::vector<int32_t> subsets;
   {
     obs::SpanGuard span(tracer_, "generate", &metrics_);
-    candidates = GenerateNextLevel(survivor_sets);
+    candidates = GenerateNextLevel(survivor_sets, &subsets);
   }
   if (candidates.empty()) {
     // Nothing above this level: the loop exits without entering a new
@@ -1387,15 +1405,12 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
     current->clear();
     return true;
   }
-  const LevelIndex survivor_index(survivor_sets);
 
   const int next_level = level_number + 1;
   std::vector<AttributeSet> sets(candidates.size());
-  std::vector<AttributeSet> cplus(candidates.size());
   int64_t est_row_work = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
     sets[i] = candidates[i].set;
-    cplus[i] = SeedCplus(next_level, sets[i], survivors, &survivor_index);
     est_row_work +=
         std::min((*survivors)[candidates[i].parent_a].member_rows,
                  (*survivors)[candidates[i].parent_b].member_rows);
@@ -1414,16 +1429,18 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   WindowInputs in;
   in.level_number = next_level;
   in.sets = &sets;
-  in.cplus = &cplus;
   in.parents = survivors;
-  in.parent_index = &survivor_index;
+  in.subsets = &subsets;
   in.est_row_work = est_row_work;
-  // Resolve every parent once, here on the coordinator: the borrows stay
-  // valid for the whole window, because no Put happens before it opens and
-  // the store defers relocations to its end (BeginTaskWindow).
-  in.parent_partitions.reserve(survivors->size());
-  for (const Node& node : *survivors) {
-    in.parent_partitions.push_back(store_->Peek(node.handle));
+  {
+    // Resolve every parent once, here on the coordinator: the borrows stay
+    // valid for the whole window, because no Put happens before it opens
+    // and the store defers relocations to its end (BeginTaskWindow).
+    obs::SpanGuard span(tracer_, "resolve", &metrics_);
+    in.parent_partitions.reserve(survivors->size());
+    for (const Node& node : *survivors) {
+      in.parent_partitions.push_back(store_->Peek(node.handle));
+    }
   }
   std::vector<Node> next;
   Status window_status;
@@ -1539,15 +1556,12 @@ Status TaneRun::Run(DiscoveryResult* result) {
       stats_.level_parallel.push_back(row);
     }
     std::vector<AttributeSet> sets(num_attributes);
-    std::vector<AttributeSet> cplus(num_attributes);
     for (int attribute = 0; attribute < num_attributes; ++attribute) {
       sets[attribute] = AttributeSet::Singleton(attribute);
-      cplus[attribute] = SeedCplus(1, sets[attribute], nullptr, nullptr);
     }
     WindowInputs in;
     in.level_number = 1;
     in.sets = &sets;
-    in.cplus = &cplus;
     in.stash_singletons = !config_.use_partition_products;
     in.est_row_work = static_cast<int64_t>(num_attributes) * num_rows_;
     if (in.stash_singletons) singleton_partitions_.reserve(num_attributes);

@@ -9,9 +9,12 @@
 
 namespace tane {
 
-/// An index over the attribute sets of one lattice level, providing the
-/// "random access with hashing" the paper relies on for constant-time set
-/// lookup.
+/// A hash index over the attribute sets of one lattice level: the paper's
+/// "random access with hashing". The level driver resolves subsets by the
+/// positions GenerateNextLevel returns and needs no index there; it builds
+/// one only in PRUNE, and only on levels that hold a key, where the
+/// siblings of a key are looked up by set. Benchmarks that replay a level
+/// use it too.
 class LevelIndex {
  public:
   LevelIndex() = default;
@@ -49,9 +52,16 @@ struct LevelCandidate {
 /// level contains exactly the (ℓ+1)-sets all of whose ℓ-subsets are in
 /// `level`. Uses the classic prefix-block join: two ℓ-sets that differ only
 /// in their largest attribute generate their union, which is then kept only
-/// if every ℓ-subset is present.
+/// if every ℓ-subset is present. Membership is decided by searching the
+/// sorted prefix blocks, not by hashing.
 ///
 /// `level` must contain distinct sets of a single uniform size ℓ >= 1.
+///
+/// When `subset_positions` is non-null it receives, for every candidate,
+/// the positions in `level` of all ℓ+1 of its ℓ-subsets: candidate k's
+/// X\{c}, for the t-th smallest c ∈ X (t from 0), is at index
+/// k·(ℓ+1)+t. The last two entries are therefore `parent_b` and
+/// `parent_a`. The candidates are the same with or without it.
 ///
 /// Candidates come block by block: blocks in ascending prefix-mask order;
 /// within a block, members ordered by largest attribute and the pairs
@@ -62,7 +72,8 @@ struct LevelCandidate {
 /// `level` yields the same candidate sets, with the same parent sets, in
 /// the same order.
 std::vector<LevelCandidate> GenerateNextLevel(
-    const std::vector<AttributeSet>& level);
+    const std::vector<AttributeSet>& level,
+    std::vector<int32_t>* subset_positions = nullptr);
 
 }  // namespace tane
 

@@ -49,9 +49,19 @@ class RunController {
   RunController& operator=(const RunController&) = delete;
 
   /// Sets the deadline to `budget` from now. A zero or negative budget
-  /// expires immediately.
+  /// expires immediately; one past the clock's range (about 292 years of
+  /// nanoseconds) saturates at time_point::max() and never expires.
   void SetDeadlineAfter(std::chrono::milliseconds budget) {
-    deadline_ = Clock::now() + budget;
+    const Clock::time_point now = Clock::now();
+    const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    if (budget <= std::chrono::milliseconds::zero()) {
+      deadline_ = now;
+    } else if (budget >= headroom) {
+      deadline_ = Clock::time_point::max();
+    } else {
+      deadline_ = now + budget;
+    }
     has_deadline_ = true;
   }
 

@@ -158,13 +158,17 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   EXPECT_NE(kernel.err.find("unknown flag --kernel"), std::string::npos)
       << kernel.err;
   // Integer flags stored in an int are range-checked, not narrowed: 2^32+1
-  // threads used to run one thread, and --max-lhs=2^32 found nothing.
+  // threads used to run one thread, and --max-lhs=2^32 found nothing. A
+  // memory budget whose byte count passes 2^63 used to wrap: 2^44+1 MB
+  // became a 1 MiB budget.
   const std::vector<std::vector<std::string>> wrapping = {
       {"discover", path, "--threads=4294967297"},
       {"discover", path, "--threads=4294967296"},
       {"discover", path, "--max-lhs=4294967296"},
       {"discover", path, "--stop-after-level=4294967296"},
       {"discover", path, "--profile=4294967296"},
+      {"discover", path, "--memory-budget-mb=8796093022208"},
+      {"discover", path, "--memory-budget-mb=17592186044417"},
       {"generate", "wbc", "--copies=4294967297"},
   };
   for (const std::vector<std::string>& args : wrapping) {
@@ -181,6 +185,19 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   }
   EXPECT_EQ(RunCli({"discover", "/does/not/exist.csv"}).code, 5);
   EXPECT_EQ(RunCli({"discover"}).code, 2);
+  std::remove(path.c_str());
+}
+
+TEST(CliTest, DeadlinePastTheClockRangeRunsToCompletion) {
+  // 10^13 ms is past steady_clock's ~292-year range; the deadline used to
+  // wrap into the past and stop the run after level 1.
+  const std::string path = WriteFigure1Csv();
+  const CliResult plain = RunCli({"discover", path});
+  const CliResult far =
+      RunCli({"discover", path, "--deadline-ms=10000000000000"});
+  EXPECT_EQ(far.code, 0) << far.err;
+  EXPECT_EQ(far.err.find("partial"), std::string::npos) << far.err;
+  EXPECT_EQ(far.out, plain.out);
   std::remove(path.c_str());
 }
 

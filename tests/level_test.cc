@@ -1,8 +1,11 @@
 #include "lattice/level.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -148,6 +151,77 @@ TEST(GenerateNextLevelTest, DeterministicOrder) {
     EXPECT_EQ(again[i].set, candidates[i].set) << i;
     EXPECT_EQ(shuffled[again[i].parent_a], level[candidates[i].parent_a]) << i;
     EXPECT_EQ(shuffled[again[i].parent_b], level[candidates[i].parent_b]) << i;
+  }
+}
+
+TEST(GenerateNextLevelTest, SubsetPositionsMatchBruteForce) {
+  // Random levels: ℓ = 1..7 over at most 14 attributes, 0-50% of the
+  // ℓ-sets dropped, input order shuffled.
+  std::mt19937 rng(16);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int round = 0; round < 210; ++round) {
+    const int ell = 1 + round % 7;
+    const int attributes = std::uniform_int_distribution<int>(ell, 14)(rng);
+    const double drop = round % 5 == 0 ? 0.0 : 0.5 * unit(rng);
+    std::vector<AttributeSet> level;
+    std::set<uint64_t> present;
+    for (uint64_t mask = 0; mask < (uint64_t{1} << attributes); ++mask) {
+      if (std::popcount(mask) == ell && unit(rng) >= drop) {
+        level.push_back(AttributeSet::FromMask(mask));
+        present.insert(mask);
+      }
+    }
+    std::shuffle(level.begin(), level.end(), rng);
+    SCOPED_TRACE("round " + std::to_string(round) + ": ell=" +
+                 std::to_string(ell) + ", " + std::to_string(level.size()) +
+                 " sets over " + std::to_string(attributes));
+
+    // Brute force: every (ℓ+1)-set whose ℓ-subsets are all present.
+    std::set<uint64_t> expected;
+    for (uint64_t mask = 0; mask < (uint64_t{1} << attributes); ++mask) {
+      if (std::popcount(mask) != ell + 1) continue;
+      bool all_present = true;
+      for (int c : Members(AttributeSet::FromMask(mask))) {
+        all_present &= present.count(mask & ~(uint64_t{1} << c)) > 0;
+      }
+      if (all_present) expected.insert(mask);
+    }
+
+    std::vector<int32_t> positions;
+    const std::vector<LevelCandidate> with =
+        GenerateNextLevel(level, &positions);
+    const std::vector<LevelCandidate> without = GenerateNextLevel(level);
+    std::set<uint64_t> generated;
+    for (const LevelCandidate& candidate : with) {
+      generated.insert(candidate.set.mask());
+    }
+    EXPECT_EQ(generated.size(), with.size()) << "duplicate candidates";
+    EXPECT_EQ(generated, expected);
+
+    // The position output changes neither the candidates nor their order.
+    ASSERT_EQ(without.size(), with.size());
+    for (size_t k = 0; k < with.size(); ++k) {
+      EXPECT_EQ(without[k].set, with[k].set) << k;
+      EXPECT_EQ(without[k].parent_a, with[k].parent_a) << k;
+      EXPECT_EQ(without[k].parent_b, with[k].parent_b) << k;
+    }
+
+    // Candidate k's X\{c}, for the t-th smallest c ∈ X, is at k·(ℓ+1)+t.
+    const size_t stride = ell + 1;
+    ASSERT_EQ(positions.size(), with.size() * stride);
+    for (size_t k = 0; k < with.size(); ++k) {
+      size_t t = 0;
+      for (int c : Members(with[k].set)) {
+        const int32_t position = positions[k * stride + t];
+        ASSERT_GE(position, 0) << k;
+        ASSERT_LT(position, static_cast<int32_t>(level.size())) << k;
+        EXPECT_EQ(level[position], with[k].set.Without(c))
+            << "candidate " << k << ", subset " << t;
+        ++t;
+      }
+      EXPECT_EQ(positions[k * stride + ell - 1], with[k].parent_b) << k;
+      EXPECT_EQ(positions[k * stride + ell], with[k].parent_a) << k;
+    }
   }
 }
 

@@ -439,6 +439,7 @@ TEST(DiscoveryObservabilityTest, TracerSeesPhaseSpansAndMetricsMatchStats) {
 
   bool saw_run = false, saw_level = false, saw_validity = false,
        saw_products = false, saw_prune = false, saw_generate = false;
+  int resolves = 0, releases = 0;
   for (const TraceEvent& event : tracer.Events()) {
     const std::string phase = event.name.substr(0, event.name.find(' '));
     saw_run |= phase == "run";
@@ -447,9 +448,16 @@ TEST(DiscoveryObservabilityTest, TracerSeesPhaseSpansAndMetricsMatchStats) {
     saw_products |= phase == "products";
     saw_prune |= phase == "prune";
     saw_generate |= phase == "generate";
+    resolves += phase == "resolve";
+    releases += phase == "release";
   }
   EXPECT_TRUE(saw_run && saw_level && saw_validity && saw_products &&
               saw_prune && saw_generate);
+  // The coordinator steps between windows: one parent resolve per window
+  // above level 1, and a release after each of them plus the wind-down's.
+  ASSERT_GE(result.completed_levels, 3);
+  EXPECT_EQ(resolves, result.completed_levels - 1);
+  EXPECT_GE(releases, resolves);
 
   // Per-level rows carry the node counts the report mirrors.
   ASSERT_FALSE(result.stats.level_parallel.empty());

@@ -130,6 +130,81 @@ void ExerciseBorrowsSurviveConcurrentPuts(PartitionStore* store) {
   TANE_ASSERT_OK(store->EndTaskWindow());
 }
 
+// Handle semantics every store shares (PartitionStore): six handles, four
+// released out of order; released, negative and never-issued handles fail;
+// a Peek borrow of a live handle keeps its address while the released
+// prefix is popped and 1000 more Puts land; every live handle still Gets
+// what was Put. Stores that cannot lend (disk) must Peek null throughout.
+void ExerciseHandleSlots(PartitionStore* store, bool lends) {
+  auto distinct = [](int i) {
+    return StrippedPartition::Create(8 + i, {0, 1, 2, 3, 4}, {0, 2, 5}, true)
+        .value();
+  };
+  std::vector<int64_t> handles;
+  for (int i = 0; i < 6; ++i) {
+    StatusOr<int64_t> handle = store->Put(distinct(i));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+  for (int i : {3, 0, 4, 1}) TANE_ASSERT_OK(store->Release(handles[i]));
+
+  const std::vector<int64_t> dead = {handles[3], handles[0], handles[4],
+                                     handles[1], -1, -1000,
+                                     handles.back() + 1,
+                                     handles.back() + 1000};
+  for (int64_t handle : dead) {
+    EXPECT_EQ(store->Get(handle).status().code(), StatusCode::kNotFound)
+        << handle;
+    EXPECT_EQ(store->Release(handle).code(), StatusCode::kNotFound) << handle;
+    EXPECT_EQ(store->Peek(handle), nullptr) << handle;
+  }
+  for (int i : {2, 5}) {
+    StatusOr<StrippedPartition> loaded = store->Get(handles[i]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, distinct(i));
+  }
+
+  const StrippedPartition* borrowed = store->Peek(handles[5]);
+  EXPECT_EQ(borrowed != nullptr, lends);
+  // Releasing handle 2 leaves 0-4 released: the whole prefix before 5.
+  TANE_ASSERT_OK(store->Release(handles[2]));
+  std::vector<int64_t> more;
+  for (int i = 0; i < 1000; ++i) {
+    StatusOr<int64_t> handle = store->Put(distinct(6 + i % 7));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    more.push_back(*handle);
+  }
+  if (lends) {
+    EXPECT_EQ(store->Peek(handles[5]), borrowed);
+    EXPECT_EQ(*borrowed, distinct(5));
+  } else {
+    EXPECT_EQ(store->Peek(handles[5]), nullptr);
+  }
+  EXPECT_EQ(store->Get(handles[2]).status().code(), StatusCode::kNotFound);
+
+  // Handles are never reused.
+  std::set<int64_t> issued(handles.begin(), handles.end());
+  issued.insert(more.begin(), more.end());
+  EXPECT_EQ(issued.size(), handles.size() + more.size());
+  StatusOr<StrippedPartition> kept = store->Get(handles[5]);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(*kept, distinct(5));
+  for (int i = 0; i < 1000; ++i) {
+    StatusOr<StrippedPartition> loaded = store->Get(more[i]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, distinct(6 + i % 7)) << i;
+  }
+  TANE_ASSERT_OK(store->Release(handles[5]));
+  for (int64_t handle : more) TANE_ASSERT_OK(store->Release(handle));
+  EXPECT_EQ(store->Get(more.back()).status().code(), StatusCode::kNotFound);
+}
+
+TEST(MemoryPartitionStoreTest, HandleSlotSemantics) {
+  MemoryPartitionStore store;
+  ExerciseHandleSlots(&store, /*lends=*/true);
+  EXPECT_EQ(store.resident_bytes(), 0);
+}
+
 TEST(MemoryPartitionStoreTest, PeekBorrowsSurviveConcurrentPuts) {
   MemoryPartitionStore store;
   ExerciseBorrowsSurviveConcurrentPuts(&store);
@@ -170,6 +245,14 @@ TEST(DiskPartitionStoreTest, WritesBytesAndCleansUpDirectory) {
     EXPECT_EQ((*store)->Peek(*handle), nullptr);
   }
   EXPECT_FALSE(std::filesystem::exists(directory));
+}
+
+TEST(DiskPartitionStoreTest, HandleSlotSemantics) {
+  StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+      DiskPartitionStore::Open();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ExerciseHandleSlots(store->get(), /*lends=*/false);
+  EXPECT_EQ((*store)->disk_bytes(), 0);
 }
 
 TEST(DiskPartitionStoreTest, NamedDirectoryIsCreated) {
@@ -418,6 +501,54 @@ TEST(AutoPartitionStoreTest, SpillsOnceBudgetExceededAndHandlesSurvive) {
     TANE_ASSERT_OK(store.Release(handle));
   }
   EXPECT_FALSE(store.Get(handles[0]).ok());
+}
+
+TEST(AutoPartitionStoreTest, HandleSlotSemanticsBeforeSpill) {
+  AutoPartitionStore store(/*budget_bytes=*/int64_t{1} << 30, "");
+  ExerciseHandleSlots(&store, /*lends=*/true);
+  EXPECT_FALSE(store.spilled());
+  EXPECT_EQ(store.resident_bytes(), 0);
+}
+
+TEST(AutoPartitionStoreTest, HandleSlotSemanticsAfterSpill) {
+  // A 1-byte budget spills on the first Put; every handle after that lives
+  // on disk.
+  AutoPartitionStore store(/*budget_bytes=*/1, "");
+  ExerciseHandleSlots(&store, /*lends=*/false);
+  EXPECT_TRUE(store.spilled());
+}
+
+TEST(AutoPartitionStoreTest, HandlesIssuedBeforeASpillKeepTheirSlots) {
+  // Three partitions fit the budget; the fourth Put migrates all four to
+  // disk in handle order, after two of the first three were released out
+  // of order.
+  const int64_t one = SamplePartition().EstimatedBytes();
+  AutoPartitionStore store(/*budget_bytes=*/3 * one + one / 2, "");
+  std::vector<int64_t> handles;
+  for (int i = 0; i < 3; ++i) {
+    StatusOr<int64_t> handle = store.Put(SamplePartition());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+  TANE_ASSERT_OK(store.Release(handles[1]));
+  TANE_ASSERT_OK(store.Release(handles[0]));
+  for (int i = 0; i < 3; ++i) {
+    StatusOr<int64_t> handle = store.Put(SamplePartition());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+  ASSERT_TRUE(store.spilled());
+  for (int i : {0, 1}) {
+    EXPECT_EQ(store.Get(handles[i]).status().code(), StatusCode::kNotFound);
+  }
+  for (int i : {2, 3, 4, 5}) {
+    EXPECT_EQ(store.Peek(handles[i]), nullptr) << i;
+    StatusOr<StrippedPartition> loaded = store.Get(handles[i]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, SamplePartition()) << i;
+  }
+  for (int i : {4, 2, 5, 3}) TANE_ASSERT_OK(store.Release(handles[i]));
+  EXPECT_EQ(store.Release(handles[3]).code(), StatusCode::kNotFound);
 }
 
 TEST(AutoPartitionStoreTest, ZeroBudgetMeansUnlimited) {

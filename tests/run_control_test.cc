@@ -61,6 +61,17 @@ TEST(RunControllerTest, FutureDeadlineDoesNotStop) {
   EXPECT_EQ(controller.stop_reason(), StopReason::kNone);
 }
 
+TEST(RunControllerTest, DeadlinePastTheClockRangeSaturates) {
+  // now + milliseconds::max() overflows steady_clock; the deadline must
+  // saturate at the far end instead of wrapping into the past.
+  RunController controller;
+  controller.SetDeadlineAfter(std::chrono::milliseconds::max());
+  EXPECT_TRUE(controller.has_deadline());
+  EXPECT_FALSE(controller.ShouldStop());
+  EXPECT_EQ(controller.stop_reason(), StopReason::kNone);
+  EXPECT_GT(controller.deadline_remaining_seconds(), 1e9);
+}
+
 TEST(RunControllerTest, CancelStopsAndWinsOverDeadline) {
   RunController controller;
   controller.SetDeadlineAfter(std::chrono::milliseconds(0));

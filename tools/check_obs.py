@@ -62,7 +62,7 @@ PRODUCTS_PER_SEC_FLOORS = {
 # Spans the discovery driver always emits (per-worker "slice" and "spill"
 # are conditional on threading / storage, so not required here).
 REQUIRED_SPANS = ("run", "level", "base-partitions", "validity", "prune",
-                  "generate", "products")
+                  "generate", "resolve", "products", "release")
 
 # --stats token -> (report object path). Every one of these must match the
 # report exactly: the stats line and the report are two views of the same

@@ -243,6 +243,13 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
   if (budget_mb < 0) {
     return Status::InvalidArgument("--memory-budget-mb must be >= 0");
   }
+  // The controller takes bytes: a budget whose byte count overflows int64
+  // would wrap into a tiny limit.
+  if (budget_mb > (std::numeric_limits<int64_t>::max() >> 20)) {
+    return Status::InvalidArgument("bad --memory-budget-mb value: " +
+                                   *args.Flag("memory-budget-mb") +
+                                   " (out of range)");
+  }
   if (const std::string* dir = args.Flag("checkpoint-dir")) {
     if (dir->empty()) {
       return Status::InvalidArgument("--checkpoint-dir needs a path");
