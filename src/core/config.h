@@ -27,20 +27,22 @@ enum class ErrorMeasure {
   kG1,
 };
 
-/// Where level partitions live during the search.
+/// Where level partitions live during the search: when the run's
+/// PartitionStore spills a partition to its spill directory.
 enum class StorageMode {
-  /// TANE/MEM: both the current and previous level's partitions stay in
-  /// main memory. With a RunController memory budget, a breach aborts the
-  /// run with kResourceExhausted.
+  /// TANE/MEM: never. Both the current and previous level's partitions stay
+  /// in main memory. With a RunController memory budget, a breach aborts
+  /// the run with kResourceExhausted.
   kMemory,
-  /// TANE (scalable version): partitions are written to a spill directory
-  /// and read back when needed, keeping only O(1) partitions resident.
+  /// TANE (scalable version): at every Put. Partitions are read back when
+  /// needed, keeping only O(1) partitions resident.
   kDisk,
   /// Graceful degradation: starts as kMemory and, when the resident
-  /// partition bytes exceed the RunController memory budget, transparently
-  /// migrates every live partition to a DiskPartitionStore and continues as
-  /// kDisk. A TANE/MEM run that outgrows RAM becomes a TANE run instead of
-  /// dying. Without a budget, behaves exactly like kMemory.
+  /// partition bytes exceed the RunController memory budget, spills every
+  /// resident partition and continues as kDisk. A TANE/MEM run that
+  /// outgrows RAM becomes a TANE run instead of dying; a spill that fails
+  /// partway leaves the unwritten partitions resident. Without a budget,
+  /// behaves exactly like kMemory.
   kAuto,
 };
 

@@ -7,11 +7,9 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <memory>
-#include <optional>
 #include <utility>
+#include <variant>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -24,50 +22,6 @@
 namespace tane {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// MemoryPartitionStore
-
-StatusOr<int64_t> MemoryPartitionStore::Put(StrippedPartition partition) {
-  MutexLock lock(&mu_);
-  resident_bytes_ += partition.EstimatedBytes();
-  return partitions_.Add(std::move(partition));
-}
-
-StatusOr<StrippedPartition> MemoryPartitionStore::Get(int64_t handle) {
-  MutexLock lock(&mu_);
-  const StrippedPartition* partition = partitions_.Find(handle);
-  if (partition == nullptr) {
-    return Status::NotFound("no partition with handle " +
-                            std::to_string(handle));
-  }
-  return *partition;
-}
-
-const StrippedPartition* MemoryPartitionStore::Peek(int64_t handle) const {
-  MutexLock lock(&mu_);
-  // The pointer outlives the lock: the handle table moves no stored
-  // partition on a Put or on another handle's Release, so only Release of
-  // this handle invalidates it.
-  return partitions_.Find(handle);
-}
-
-Status MemoryPartitionStore::Release(int64_t handle) {
-  MutexLock lock(&mu_);
-  std::optional<StrippedPartition> partition = partitions_.Take(handle);
-  if (!partition.has_value()) {
-    return Status::NotFound("release of unknown handle " +
-                            std::to_string(handle));
-  }
-  resident_bytes_ -= partition->EstimatedBytes();
-  if (pool_ != nullptr) pool_->Recycle(std::move(*partition));
-  return Status::OK();
-}
-
-int64_t MemoryPartitionStore::resident_bytes() const {
-  MutexLock lock(&mu_);
-  return resident_bytes_;
-}
 
 // ---------------------------------------------------------------------------
 // Serialization
@@ -146,48 +100,21 @@ StatusOr<StrippedPartition> DeserializePartition(std::string_view bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// DiskPartitionStore
+// PartitionStore
 
-StatusOr<std::unique_ptr<DiskPartitionStore>> DiskPartitionStore::Open(
+StatusOr<std::unique_ptr<PartitionStore>> PartitionStore::Open(
     std::string directory) {
-  std::error_code ec;
-  bool owns = false;
-  if (directory.empty()) {
-    fs::path base = fs::temp_directory_path(ec);
-    if (ec) return Status::IoError("no temp directory: " + ec.message());
-    // Pick an unused name; PIDs and a counter keep concurrent runs apart.
-    // Runs on different threads may Open at once: the relaxed fetch_add
-    // only has to hand each attempt a distinct suffix, it publishes
-    // nothing. tane-lint: allow(naked-atomic)
-    static std::atomic<int> counter{0};
-    for (int attempt = 0; attempt < 1000; ++attempt) {
-      fs::path candidate =
-          base / ("tane-spill-" + std::to_string(::getpid()) + "-" +
-                  std::to_string(
-                      counter.fetch_add(1, std::memory_order_relaxed)));
-      if (fs::create_directory(candidate, ec) && !ec) {
-        directory = candidate.string();
-        owns = true;
-        break;
-      }
-    }
-    if (directory.empty()) {
-      return Status::IoError("could not create a spill directory");
-    }
-  } else if (!fs::exists(directory, ec)) {
-    if (!fs::create_directories(directory, ec) || ec) {
-      return Status::IoError("cannot create spill directory " + directory +
-                             ": " + ec.message());
-    }
-    owns = true;
+  auto store = std::make_unique<PartitionStore>(/*budget_bytes=*/0,
+                                                std::move(directory));
+  {
+    WriterMutexLock lock(&store->mu_);
+    store->spill_every_put_ = true;
+    TANE_RETURN_IF_ERROR(store->OpenDirectory());
   }
-  // Private constructor: make_unique cannot reach it, so the raw new is
-  // wrapped immediately. tane-lint: allow(naked-new)
-  return std::unique_ptr<DiskPartitionStore>(
-      new DiskPartitionStore(std::move(directory), owns));
+  return store;
 }
 
-DiskPartitionStore::~DiskPartitionStore() {
+PartitionStore::~PartitionStore() {
   std::error_code ec;
   for (size_t segment = 0; segment < segments_.size(); ++segment) {
     if (segments_[segment].fd >= 0) {
@@ -198,12 +125,47 @@ DiskPartitionStore::~DiskPartitionStore() {
   if (owns_directory_) fs::remove_all(directory_, ec);
 }
 
-std::string DiskPartitionStore::SegmentPath(int32_t segment) const {
+Status PartitionStore::OpenDirectory() {
+  if (!directory_.empty()) return Status::OK();
+  std::error_code ec;
+  if (spill_directory_.empty()) {
+    fs::path base = fs::temp_directory_path(ec);
+    if (ec) return Status::IoError("no temp directory: " + ec.message());
+    // Pick an unused name; PIDs and a counter keep concurrent runs apart.
+    // Runs on different threads may open stores at once: the relaxed
+    // fetch_add only has to hand each attempt a distinct suffix, it
+    // publishes nothing. tane-lint: allow(naked-atomic)
+    static std::atomic<int> counter{0};
+    for (int attempt = 0; attempt < 1000; ++attempt) {
+      fs::path candidate =
+          base / ("tane-spill-" + std::to_string(::getpid()) + "-" +
+                  std::to_string(
+                      counter.fetch_add(1, std::memory_order_relaxed)));
+      if (fs::create_directory(candidate, ec) && !ec) {
+        directory_ = candidate.string();
+        owns_directory_ = true;
+        return Status::OK();
+      }
+    }
+    return Status::IoError("could not create a spill directory");
+  }
+  if (!fs::exists(spill_directory_, ec)) {
+    if (!fs::create_directories(spill_directory_, ec) || ec) {
+      return Status::IoError("cannot create spill directory " +
+                             spill_directory_ + ": " + ec.message());
+    }
+    owns_directory_ = true;
+  }
+  directory_ = spill_directory_;
+  return Status::OK();
+}
+
+std::string PartitionStore::SegmentPath(int32_t segment) const {
   return (fs::path(directory_) / ("seg" + std::to_string(segment) + ".bin"))
       .string();
 }
 
-Status DiskPartitionStore::OpenNewSegment() {
+Status PartitionStore::OpenNewSegment() {
   const int32_t id = static_cast<int32_t>(segments_.size());
   const std::string path = SegmentPath(id);
   TANE_INJECT_FAILPOINT("disk_store.open_segment");
@@ -220,8 +182,8 @@ Status DiskPartitionStore::OpenNewSegment() {
   return Status::OK();
 }
 
-Status DiskPartitionStore::WriteRecordOnce(int fd, std::string_view record,
-                                           int64_t offset) {
+Status PartitionStore::WriteRecordOnce(int fd, std::string_view record,
+                                       int64_t offset) {
   TANE_INJECT_FAILPOINT("disk_store.put");
   size_t written = 0;
   while (written < record.size()) {
@@ -237,8 +199,8 @@ Status DiskPartitionStore::WriteRecordOnce(int fd, std::string_view record,
   return Status::OK();
 }
 
-Status DiskPartitionStore::ReadRecordOnce(int fd, char* buffer, int64_t size,
-                                          int64_t offset) {
+Status PartitionStore::ReadRecordOnce(int fd, char* buffer, int64_t size,
+                                      int64_t offset) {
   TANE_INJECT_FAILPOINT("disk_store.get");
   int64_t read = 0;
   while (read < size) {
@@ -253,7 +215,7 @@ Status DiskPartitionStore::ReadRecordOnce(int fd, char* buffer, int64_t size,
   return Status::OK();
 }
 
-void DiskPartitionStore::CleanupFailedWrite(int32_t segment_id) {
+void PartitionStore::CleanupFailedWrite(int32_t segment_id) {
   Segment& segment = segments_[segment_id];
   if (segment.fd < 0) return;
   if (segment.live_partitions == 0) {
@@ -275,7 +237,7 @@ void DiskPartitionStore::CleanupFailedWrite(int32_t segment_id) {
   }
 }
 
-void DiskPartitionStore::DropSegmentIfDead(int32_t segment_id) {
+void PartitionStore::DropSegmentIfDead(int32_t segment_id) {
   Segment& segment = segments_[segment_id];
   if (segment.fd < 0 || !segment.sealed || segment.live_partitions > 0) {
     return;
@@ -286,8 +248,9 @@ void DiskPartitionStore::DropSegmentIfDead(int32_t segment_id) {
   fs::remove(SegmentPath(segment_id), ec);
 }
 
-StatusOr<int64_t> DiskPartitionStore::Put(StrippedPartition partition) {
-  WriterMutexLock lock(&mu_);
+StatusOr<PartitionStore::SpillRecord> PartitionStore::WriteRecord(
+    const StrippedPartition& partition) {
+  TANE_RETURN_IF_ERROR(OpenDirectory());
   if (segments_.empty() || segments_.back().sealed) {
     TANE_RETURN_IF_ERROR(OpenNewSegment());
   }
@@ -312,35 +275,71 @@ StatusOr<int64_t> DiskPartitionStore::Put(StrippedPartition partition) {
     return Status(status.code(), "spill write to " + SegmentPath(segment_id) +
                                      " failed: " + status.message());
   }
-  segment.bytes += static_cast<int64_t>(record.size());
+  const int64_t size = static_cast<int64_t>(record.size());
+  segment.bytes += size;
   ++segment.live_partitions;
-  bytes_written_ += static_cast<int64_t>(record.size());
+  if (segment.bytes >= kSegmentBytes) segment.sealed = true;
+  bytes_written_ += size;
   if (metrics_ != nullptr) {
     metrics_->AddShared(obs::kSpillWrites, 1);
-    metrics_->AddShared(obs::kSpillBytesWritten,
-                        static_cast<int64_t>(record.size()));
+    metrics_->AddShared(obs::kSpillBytesWritten, size);
   }
-  // The partition now lives on disk; its in-memory buffers are free for
-  // reuse by the next product.
-  if (pool_ != nullptr) pool_->Recycle(std::move(partition));
+  return SpillRecord{segment_id, offset, size};
+}
 
-  const int64_t handle = entries_.Add(
-      Entry{segment_id, offset, static_cast<int64_t>(record.size())});
-  if (segment.bytes >= kSegmentBytes) segment.sealed = true;
+const PartitionStore::Slot* PartitionStore::FindSlot(int64_t handle) const {
+  const int64_t slot = handle - base_;
+  if (handle < base_ || slot >= static_cast<int64_t>(slots_.size()) ||
+      std::holds_alternative<std::monostate>(slots_[slot])) {
+    return nullptr;
+  }
+  return &slots_[slot];
+}
+
+PartitionStore::Slot* PartitionStore::FindSlot(int64_t handle) {
+  return const_cast<Slot*>(std::as_const(*this).FindSlot(handle));
+}
+
+StatusOr<int64_t> PartitionStore::Put(StrippedPartition partition) {
+  WriterMutexLock lock(&mu_);
+  const int64_t handle = base_ + static_cast<int64_t>(slots_.size());
+  if (spill_every_put_) {
+    TANE_ASSIGN_OR_RETURN(const SpillRecord record, WriteRecord(partition));
+    // The partition now lives on disk; its in-memory buffers are free for
+    // reuse by the next product.
+    if (pool_ != nullptr) pool_->Recycle(std::move(partition));
+    slots_.emplace_back(record);
+    return handle;
+  }
+  resident_bytes_ += partition.EstimatedBytes();
+  slots_.emplace_back(std::move(partition));
+  if (budget_bytes_ > 0 && resident_bytes_ > budget_bytes_) {
+    if (in_window_) {
+      // Workers may hold Peek borrows of resident partitions; spilling now
+      // would free them. Spill at the window boundary.
+      pending_spill_ = true;
+    } else {
+      TANE_RETURN_IF_ERROR(SpillResident());
+    }
+  }
   return handle;
 }
 
-StatusOr<StrippedPartition> DiskPartitionStore::Get(int64_t handle) {
-  // Reads share the lock: concurrent preads at distinct offsets are safe,
-  // and the segment behind a live handle cannot be unlinked while readers
-  // hold the shared lock (Release takes it exclusively).
+StatusOr<StrippedPartition> PartitionStore::Get(int64_t handle) {
+  // Reads share the lock: resident partitions change only under the
+  // exclusive lock, concurrent preads at distinct offsets are safe, and the
+  // segment behind a live handle cannot be unlinked while readers hold the
+  // shared lock (Release takes it exclusively).
   ReaderMutexLock lock(&mu_);
-  const Entry* found = entries_.Find(handle);
-  if (found == nullptr) {
+  const Slot* slot = FindSlot(handle);
+  if (slot == nullptr) {
     return Status::NotFound("no partition with handle " +
                             std::to_string(handle));
   }
-  const Entry& entry = *found;
+  if (const auto* partition = std::get_if<StrippedPartition>(slot)) {
+    return *partition;
+  }
+  const SpillRecord& entry = std::get<SpillRecord>(*slot);
   const Segment& segment = segments_[entry.segment];
   std::string record(entry.size, '\0');
   const Status status = RetryWithBackoff(retry_policy_, [&] {
@@ -370,97 +369,75 @@ StatusOr<StrippedPartition> DiskPartitionStore::Get(int64_t handle) {
   return DeserializePartition(view);
 }
 
-Status DiskPartitionStore::Release(int64_t handle) {
+const StrippedPartition* PartitionStore::Peek(int64_t handle) const {
+  ReaderMutexLock lock(&mu_);
+  // The pointer outlives the lock: the slot table moves no resident
+  // partition on a Put or on another handle's Release, so only Release of
+  // this handle, or a spill, invalidates it.
+  const Slot* slot = FindSlot(handle);
+  return slot == nullptr ? nullptr : std::get_if<StrippedPartition>(slot);
+}
+
+Status PartitionStore::Release(int64_t handle) {
   WriterMutexLock lock(&mu_);
-  const std::optional<Entry> entry = entries_.Take(handle);
-  if (!entry.has_value()) {
+  Slot* slot = FindSlot(handle);
+  if (slot == nullptr) {
     return Status::NotFound("release of unknown handle " +
                             std::to_string(handle));
   }
-  const int32_t segment_id = entry->segment;
-  --segments_[segment_id].live_partitions;
-  // The newest segment is sealed on release pressure too: once TANE starts
-  // releasing a level, the segments holding it should become reclaimable
-  // even if they never filled up.
-  if (segment_id == static_cast<int32_t>(segments_.size()) - 1 &&
-      segments_[segment_id].live_partitions == 0) {
-    segments_[segment_id].sealed = true;
+  if (auto* partition = std::get_if<StrippedPartition>(slot)) {
+    resident_bytes_ -= partition->EstimatedBytes();
+    if (pool_ != nullptr) pool_->Recycle(std::move(*partition));
+  } else {
+    const int32_t segment_id = std::get<SpillRecord>(*slot).segment;
+    --segments_[segment_id].live_partitions;
+    // The newest segment is sealed on release pressure too: once TANE
+    // starts releasing a level, the segments holding it should become
+    // reclaimable even if they never filled up.
+    if (segment_id == static_cast<int32_t>(segments_.size()) - 1 &&
+        segments_[segment_id].live_partitions == 0) {
+      segments_[segment_id].sealed = true;
+    }
+    DropSegmentIfDead(segment_id);
   }
-  DropSegmentIfDead(segment_id);
+  *slot = std::monostate();
+  while (!slots_.empty() &&
+         std::holds_alternative<std::monostate>(slots_.front())) {
+    slots_.pop_front();
+    ++base_;
+  }
   return Status::OK();
 }
 
-int64_t DiskPartitionStore::disk_bytes() const {
-  ReaderMutexLock lock(&mu_);
-  int64_t total = 0;
-  for (const Segment& segment : segments_) {
-    if (segment.fd >= 0) total += segment.bytes;
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
-// AutoPartitionStore
-
-StatusOr<int64_t> AutoPartitionStore::Put(StrippedPartition partition) {
-  WriterMutexLock lock(&mu_);
-  int64_t inner = 0;
-  if (disk_ == nullptr) {
-    TANE_ASSIGN_OR_RETURN(inner, memory_.Put(std::move(partition)));
-  } else {
-    TANE_ASSIGN_OR_RETURN(inner, disk_->Put(std::move(partition)));
-  }
-  const int64_t handle = inner_handles_.Add(inner);
-  if (disk_ == nullptr && budget_bytes_ > 0 &&
-      memory_.resident_bytes() > budget_bytes_) {
-    if (in_window_) {
-      // Workers may hold Peek borrows into the memory store; migrating now
-      // would free the partitions under them. Spill at the window boundary.
-      pending_spill_ = true;
-    } else {
-      TANE_RETURN_IF_ERROR(SpillToDisk());
-    }
-  }
-  return handle;
-}
-
-void AutoPartitionStore::BeginTaskWindow() {
+void PartitionStore::BeginTaskWindow() {
   WriterMutexLock lock(&mu_);
   in_window_ = true;
 }
 
-Status AutoPartitionStore::EndTaskWindow() {
+Status PartitionStore::EndTaskWindow() {
   WriterMutexLock lock(&mu_);
   in_window_ = false;
-  if (!pending_spill_ || disk_ != nullptr) {
-    pending_spill_ = false;
-    return Status::OK();
-  }
+  if (!pending_spill_) return Status::OK();
   pending_spill_ = false;
-  return SpillToDisk();
+  return SpillResident();
 }
 
-Status AutoPartitionStore::SpillToDisk() {
-  // The span makes the migration visible in the trace timeline; its counter
+Status PartitionStore::SpillResident() {
+  // The span makes the spill visible in the trace timeline; its counter
   // deltas show the spill writes it performed.
   obs::SpanGuard span(tracer_, "spill", metrics_);
-  TANE_ASSIGN_OR_RETURN(disk_, DiskPartitionStore::Open(spill_directory_));
-  if (pool_ != nullptr) disk_->set_buffer_pool(pool_);
-  if (metrics_ != nullptr) disk_->set_metrics(metrics_);
-  // Partitions migrate in handle order; the outer handles (the only thing
-  // callers see) stay unchanged.
   int64_t migrated = 0;
-  for (int64_t handle = inner_handles_.begin_handle();
-       handle < inner_handles_.end_handle(); ++handle) {
-    int64_t* inner = inner_handles_.Find(handle);
-    if (inner == nullptr) continue;
-    TANE_ASSIGN_OR_RETURN(StrippedPartition partition, memory_.Get(*inner));
-    TANE_ASSIGN_OR_RETURN(const int64_t disk_handle,
-                          disk_->Put(std::move(partition)));
-    TANE_RETURN_IF_ERROR(memory_.Release(*inner));
-    *inner = disk_handle;
+  for (Slot& slot : slots_) {
+    auto* partition = std::get_if<StrippedPartition>(&slot);
+    if (partition == nullptr) continue;
+    // Dropped only once written: a failed write leaves the rest resident.
+    TANE_ASSIGN_OR_RETURN(const SpillRecord record, WriteRecord(*partition));
+    resident_bytes_ -= partition->EstimatedBytes();
+    if (pool_ != nullptr) pool_->Recycle(std::move(*partition));
+    slot = record;
     ++migrated;
   }
+  spill_every_put_ = true;
   if (metrics_ != nullptr) metrics_->SetGauge(obs::kDegradedToDisk, 1);
   span.AddArg("migrated_partitions", migrated);
   // A mid-run spill is exactly the kind of state transition a postmortem
@@ -473,31 +450,13 @@ Status AutoPartitionStore::SpillToDisk() {
   return Status::OK();
 }
 
-StatusOr<StrippedPartition> AutoPartitionStore::Get(int64_t handle) {
+int64_t PartitionStore::disk_bytes() const {
   ReaderMutexLock lock(&mu_);
-  const int64_t* inner = inner_handles_.Find(handle);
-  if (inner == nullptr) {
-    return Status::NotFound("no partition with handle " +
-                            std::to_string(handle));
+  int64_t total = 0;
+  for (const Segment& segment : segments_) {
+    if (segment.fd >= 0) total += segment.bytes;
   }
-  return disk_ == nullptr ? memory_.Get(*inner) : disk_->Get(*inner);
-}
-
-Status AutoPartitionStore::Release(int64_t handle) {
-  WriterMutexLock lock(&mu_);
-  const std::optional<int64_t> inner = inner_handles_.Take(handle);
-  if (!inner.has_value()) {
-    return Status::NotFound("release of unknown handle " +
-                            std::to_string(handle));
-  }
-  return disk_ == nullptr ? memory_.Release(*inner) : disk_->Release(*inner);
-}
-
-const StrippedPartition* AutoPartitionStore::Peek(int64_t handle) const {
-  ReaderMutexLock lock(&mu_);
-  if (disk_ != nullptr) return nullptr;
-  const int64_t* inner = inner_handles_.Find(handle);
-  return inner == nullptr ? nullptr : memory_.Peek(*inner);
+  return total;
 }
 
 }  // namespace tane

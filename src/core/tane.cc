@@ -151,9 +151,6 @@ struct NodeOutcome {
   Status status = Status::OK();
   AttributeSet cplus_after;
   std::vector<Emission> emissions;
-  // False when a cooperative stop fired before the node was picked up; such
-  // nodes contribute nothing to the (prefix-correct) partial result.
-  bool processed = false;
 };
 
 // One candidate's slot in a fused level window. The owning worker fills the
@@ -874,7 +871,6 @@ Status TaneRun::MergeOutcomes(std::vector<Node>* level,
   // it also appears in the complete run's output.
   for (size_t i = 0; i < level->size(); ++i) {
     NodeOutcome& out = pending_outcomes_[i];
-    if (!out.processed) continue;  // a stop fired before this node ran
     TANE_RETURN_IF_ERROR(out.status);
     Node& node = (*level)[i];
     for (const Emission& emission : out.emissions) {
@@ -1113,7 +1109,6 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     node.cplus = SeedCplus(in, i);
     node.error = built.Error();
     slot.outcome.status = ProcessNode(in, i, node, &built, w, &slot.outcome);
-    slot.outcome.processed = true;
     metrics_.Add(w->shard, obs::kNodesProcessed, 1);
   };
 
@@ -1684,6 +1679,7 @@ Status TaneRun::Run(DiscoveryResult* result) {
   stats_.g3_rows_scanned = snapshot.counter(obs::kG3RowsScanned);
   stats_.keys_found = snapshot.counter(obs::kKeysFound);
   stats_.peak_partition_bytes = snapshot.gauge(obs::kPeakResidentBytes);
+  stats_.degraded_to_disk = snapshot.gauge(obs::kDegradedToDisk) != 0;
   stats_.checkpoint_writes = snapshot.counter(obs::kCheckpointWrites);
   stats_.checkpoint_bytes = snapshot.counter(obs::kCheckpointBytesWritten);
   stats_.checkpoint_seconds = checkpoint_seconds_;
@@ -1732,29 +1728,20 @@ StatusOr<DiscoveryResult> Tane::Discover(const Relation& relation,
   }
 
   std::unique_ptr<PartitionStore> store;
-  AutoPartitionStore* auto_store = nullptr;
   if (config.storage == StorageMode::kDisk) {
-    TANE_ASSIGN_OR_RETURN(auto disk_store,
-                          DiskPartitionStore::Open(config.spill_directory));
-    store = std::move(disk_store);
+    TANE_ASSIGN_OR_RETURN(store, PartitionStore::Open(config.spill_directory));
   } else if (config.storage == StorageMode::kAuto) {
     const int64_t budget = config.run_controller != nullptr
                                ? config.run_controller->memory_budget_bytes()
                                : 0;
-    auto owned = std::make_unique<AutoPartitionStore>(budget,
-                                                      config.spill_directory);
-    auto_store = owned.get();
-    store = std::move(owned);
+    store = std::make_unique<PartitionStore>(budget, config.spill_directory);
   } else {
-    store = std::make_unique<MemoryPartitionStore>();
+    store = std::make_unique<PartitionStore>();
   }
 
   DiscoveryResult result;
   TaneRun run(relation, config, std::move(store), resume_snapshot.get());
   TANE_RETURN_IF_ERROR(run.Run(&result));
-  if (auto_store != nullptr) {
-    result.stats.degraded_to_disk = auto_store->spilled();
-  }
   return result;
 }
 

@@ -39,7 +39,7 @@ namespace tane {
 /// fixed header followed by tagged frames; every frame carries the CRC of
 /// its payload, validated before the payload is interpreted, so truncation
 /// or bit rot is detected instead of deserialized. This mirrors the
-/// DiskPartitionStore segment record layout ([crc32][payload]) with an
+/// PartitionStore spill record layout ([crc32][payload]) with an
 /// explicit tag and length so readers can skip frames they do not know.
 ///
 /// Frame layout (little-endian, like the partition serializer):

@@ -8,7 +8,7 @@ namespace tane {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `data`. Pass the return
 /// value of a previous call as `seed` to checksum data incrementally.
-/// Used by DiskPartitionStore to detect torn or corrupted segment records
+/// Used by PartitionStore to detect torn or corrupted spill records
 /// before they are deserialized.
 uint32_t Crc32(std::string_view data, uint32_t seed = 0);
 

@@ -124,7 +124,7 @@ TEST(CliTest, DiscoverWithEpsilonAndMaxLhs) {
 
 TEST(CliTest, DiscoverDiskMode) {
   const std::string path = WriteFigure1Csv();
-  CliResult result = RunCli({"discover", path, "--disk"});
+  CliResult result = RunCli({"discover", path, "--storage=disk"});
   EXPECT_EQ(result.code, 0) << result.err;
   EXPECT_NE(result.out.find("6 minimal dependencies"), std::string::npos);
   std::remove(path.c_str());
@@ -136,6 +136,9 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   EXPECT_EQ(RunCli({"discover", path, "--format=xml"}).code, 2);
   EXPECT_EQ(RunCli({"discover", path, "--delimiter=ab"}).code, 2);
   EXPECT_EQ(RunCli({"discover", path, "--storage=floppy"}).code, 2);
+  // --disk was a second spelling of --storage=disk that let contradictory
+  // flags (--disk --storage=memory) pass silently; it is gone.
+  EXPECT_EQ(RunCli({"discover", path, "--disk"}).code, 2);
   EXPECT_EQ(RunCli({"discover", path, "--deadline-ms=-1"}).code, 2);
   EXPECT_EQ(RunCli({"discover", path, "--memory-budget-mb=-1"}).code, 2);
   // Typo'd flags must fail loudly, not silently run without the limit.

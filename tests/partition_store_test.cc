@@ -551,6 +551,45 @@ TEST(AutoPartitionStoreTest, HandlesIssuedBeforeASpillKeepTheirSlots) {
   EXPECT_EQ(store.Release(handles[3]).code(), StatusCode::kNotFound);
 }
 
+// A spill that fails partway must not strand a live handle. Each slot
+// drops its partition only once its record is written, so when the third
+// write fails for good, the two spilled handles read back from disk and the
+// four behind the failure stay resident — readable, counted, releasable.
+TEST(AutoPartitionStoreTest, FailedSpillKeepsEveryHandleReadable) {
+  if (!failpoint::kCompiledIn) {
+    GTEST_SKIP() << "built without TANE_ENABLE_FAILPOINTS";
+  }
+  auto distinct = [](int i) {
+    return StrippedPartition::Create(8 + i, {0, 1, 2, 3, 4}, {0, 2, 5}, true)
+        .value();
+  };
+  AutoPartitionStore store(/*budget_bytes=*/1, "");
+  store.BeginTaskWindow();
+  std::vector<int64_t> handles;
+  for (int i = 0; i < 6; ++i) {
+    StatusOr<int64_t> handle = store.Put(distinct(i));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+  failpoint::Arm("disk_store.put", {.skip = 2, .fail_times = 1'000'000'000});
+  const Status spill = store.EndTaskWindow();
+  failpoint::ClearAll();
+  EXPECT_EQ(spill.code(), StatusCode::kIoError) << spill.ToString();
+
+  int64_t unspilled_bytes = 0;
+  for (int i = 2; i < 6; ++i) unspilled_bytes += distinct(i).EstimatedBytes();
+  EXPECT_EQ(store.resident_bytes(), unspilled_bytes);
+  for (int i = 0; i < 6; ++i) {
+    StatusOr<StrippedPartition> loaded = store.Get(handles[i]);
+    ASSERT_TRUE(loaded.ok()) << i << ": " << loaded.status().ToString();
+    EXPECT_EQ(*loaded, distinct(i)) << i;
+  }
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_TRUE(store.Release(handles[i]).ok()) << i;
+  }
+  EXPECT_EQ(store.resident_bytes(), 0);
+}
+
 TEST(AutoPartitionStoreTest, ZeroBudgetMeansUnlimited) {
   AutoPartitionStore store(/*budget_bytes=*/0, "");
   for (int i = 0; i < 5; ++i) {

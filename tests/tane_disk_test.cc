@@ -1,11 +1,14 @@
 #include <filesystem>
 #include <string>
 
+#include "core/run_snapshot.h"
 #include "core/tane.h"
 #include "datasets/generators.h"
+#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "util/failpoint.h"
+#include "util/run_control.h"
 
 namespace tane {
 namespace {
@@ -150,6 +153,49 @@ TEST_F(TaneSpillFaultTest, PersistentSegmentCreationFailureSurfaces) {
       Tane::Discover(PaperFigure1Relation(), disk);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(TaneSpillFaultTest, FailedBudgetSpillLeavesAResumableSnapshot) {
+  // A kAuto run whose budget trips mid-run, on a device that refuses every
+  // spill write: the run fails, but a failed spill leaves every partition
+  // resident, so the wind-down still snapshots its last level boundary and
+  // a resume from it reproduces the uninterrupted output.
+  TANE_ASSERT_OK_AND_ASSIGN(
+      const Relation relation,
+      MakePaperDataset(PaperDataset::kHepatitis, /*rows=*/150, /*seed=*/42));
+  TANE_ASSERT_OK_AND_ASSIGN(const DiscoveryResult full,
+                            Tane::Discover(relation));
+  const std::string directory =
+      ::testing::TempDir() + "/tane_spill_fault_checkpoint";
+  std::filesystem::remove_all(directory);
+
+  RunController controller;
+  controller.set_memory_budget_bytes(full.stats.peak_partition_bytes / 8);
+  TaneConfig budgeted;
+  budgeted.storage = StorageMode::kAuto;
+  budgeted.run_controller = &controller;
+  budgeted.checkpoint_directory = directory;
+  failpoint::Arm("disk_store.put",
+                 {.skip = 0, .fail_times = 1'000'000'000});
+  const StatusOr<DiscoveryResult> failed = Tane::Discover(relation, budgeted);
+  failpoint::ClearAll();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+      << failed.status().ToString();
+  TANE_ASSERT_OK_AND_ASSIGN(const RunSnapshot snapshot,
+                            LoadLatestSnapshot(directory));
+  EXPECT_GE(snapshot.completed_level, 1);
+
+  TaneConfig resume;
+  resume.checkpoint_directory = directory;
+  resume.resume = true;
+  TANE_ASSERT_OK_AND_ASSIGN(const DiscoveryResult resumed,
+                            Tane::Discover(relation, resume));
+  EXPECT_GE(resumed.stats.resumed_from_level, 1);
+  EXPECT_EQ(resumed.completion, Completion::kComplete);
+  EXPECT_EQ(FdStrings(resumed.fds), FdStrings(full.fds));
+  EXPECT_EQ(resumed.keys, full.keys);
+  std::filesystem::remove_all(directory);
 }
 
 TEST(TaneDiskTest, MemoryModeResidencyExceedsDiskMode) {

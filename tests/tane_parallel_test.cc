@@ -128,6 +128,37 @@ TEST_P(TaneParallelDeterminismTest, SerialFallbackMatchesParallelWindow) {
   }
 }
 
+// A kAuto store defers a budget spill to the end of its task window, the one
+// place the spill meets live Peek borrows held on other threads. Spilling
+// runs, and runs on a disk store, must still match the 1-thread memory run
+// bit for bit at every thread count.
+TEST_P(TaneParallelDeterminismTest, SpillingAndDiskStoresMatchAcrossThreads) {
+  const Relation relation = Dataset(GetParam().dataset, GetParam().rows);
+  for (double epsilon : {0.0, 0.1}) {
+    const DiscoveryResult serial = Discover(relation, epsilon, 1);
+    RunController controller;
+    controller.set_memory_budget_bytes(serial.stats.peak_partition_bytes / 8);
+    for (int threads : {2, 4, 8}) {
+      TaneConfig config;
+      config.epsilon = epsilon;
+      config.num_threads = threads;
+      config.parallel_min_window_rows = 0;
+      config.storage = StorageMode::kAuto;
+      config.run_controller = &controller;
+      StatusOr<DiscoveryResult> spilled = Tane::Discover(relation, config);
+      ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+      EXPECT_TRUE(spilled->stats.degraded_to_disk) << threads;
+      ExpectIdenticalResults(serial, *spilled, threads);
+
+      config.storage = StorageMode::kDisk;
+      config.run_controller = nullptr;
+      StatusOr<DiscoveryResult> disk = Tane::Discover(relation, config);
+      ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+      ExpectIdenticalResults(serial, *disk, threads);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PaperDatasets, TaneParallelDeterminismTest,
     ::testing::Values(

@@ -40,9 +40,8 @@ commands:
   discover <file.csv>   mine all minimal (approximate) dependencies
       --epsilon=E       g3 threshold in [0,1] (default 0 = exact FDs)
       --max-lhs=N       bound on left-hand-side size
-      --disk            keep partitions on disk (the scalable TANE)
-      --storage=S       memory (default), disk, or auto (spill to disk when
-                        the memory budget is breached)
+      --storage=S       memory (default), disk (the scalable TANE), or auto
+                        (spill to disk when the memory budget is breached)
       --deadline-ms=T   time-box the run; on expiry a partial result with
                         every dependency proven so far is printed
       --memory-budget-mb=M
@@ -263,7 +262,6 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
   TANE_ASSIGN_OR_RETURN(config.stop_after_level,
                         FlagAsNarrowInt(args, "stop-after-level", 0));
 
-  if (args.Flag("disk") != nullptr) config.storage = StorageMode::kDisk;
   if (const std::string* storage = args.Flag("storage")) {
     if (*storage == "memory") {
       config.storage = StorageMode::kMemory;
@@ -274,7 +272,7 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
     } else {
       return Status::InvalidArgument("unknown --storage: " + *storage);
     }
-  } else if (budget_mb > 0 && args.Flag("disk") == nullptr) {
+  } else if (budget_mb > 0) {
     // A budget without an explicit storage choice means "stay fast, but
     // degrade to disk rather than die".
     config.storage = StorageMode::kAuto;
@@ -768,7 +766,7 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
   if (command == "discover") {
     status = CheckKnownFlags(
         *parsed, {"epsilon", "max-lhs", "deadline-ms", "memory-budget-mb",
-                  "threads", "disk", "storage", "format",
+                  "threads", "storage", "format",
                   "stats", "trace", "report", "progress", "profile",
                   "profile-out", "log-level",
                   "no-header", "delimiter", "checkpoint-dir",

@@ -587,9 +587,9 @@ def _scan_implicit_atomic_ops(code, source, atomic_decl_offsets,
                               class_spans):
     """Operator-form accesses (`x = v`, `x++`, `x += v`) to names declared
     std::atomic in this file. Class-aware: a name that is atomic in one
-    class and a plain member in another (DiskPartitionStore::pool_ vs
-    MemoryPartitionStore::pool_) only counts inside the class that
-    declared it atomic."""
+    class and a plain member in another (a `pool_` atomic in one class and
+    lock-guarded in the next) only counts inside the class that declared
+    it atomic."""
     if not atomic_decl_offsets:
         return
 

@@ -1,17 +1,19 @@
 """handle-discipline: Acquire/Release pairing for partition handles.
 
-`PartitionStore::Acquire` pins a partition (possibly faulting it back in
-from spill) and hands out a handle whose refcount the caller now owns.
-The discipline in `src/core/tane.cc` is that every function that calls
-`Acquire` either releases in the same function (`Release` /
-`ReleaseHandles`) or carries a waiver naming who releases and when (the
-per-worker accessor LRU releases at level boundaries, for example).
+`PartitionAccessor::Acquire` (`src/core/tane.cc`) serves a partition the
+store cannot lend — a spilled slot, whose `Peek` is null — by copying it
+out of the store with `Get` into the worker's small LRU. The copy is keyed
+by a store handle, and the discipline in `src/core/tane.cc` is that every
+function that calls `Acquire` either releases in the same function
+(`Release` / `ReleaseHandles`) or carries a waiver naming who releases and
+when (the level driver releases the handles, and clears the accessor
+LRUs, at level boundaries, for example).
 
 The check is deliberately flow-insensitive — presence of a paired release
 anywhere in the enclosing function, not on every path. That is the same
-bargain tane-lint strikes: cheap, zero false negatives for the
-forgot-to-release-entirely class, and the leak-on-early-return class is
-covered by the refcount assertions under ASan in tier-1 tests.
+bargain tane-lint strikes: cheap, and zero false negatives for the
+forgot-to-release-entirely class; a handle leaked on an early return stays
+in the store until the run ends.
 """
 
 RULE = "handle-discipline"
