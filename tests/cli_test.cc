@@ -1,8 +1,11 @@
 #include "tools/cli.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
@@ -13,7 +16,10 @@ namespace {
 
 // Writes the Figure 1 relation to a temp CSV and returns the path.
 std::string WriteFigure1Csv() {
-  const std::string path = ::testing::TempDir() + "/tane_cli_fig1.csv";
+  // One file per process: ctest runs each case in its own process, in
+  // parallel, and every case removes the file when it is done.
+  const std::string path = ::testing::TempDir() + "/tane_cli_fig1_" +
+                           std::to_string(::getpid()) + ".csv";
   std::ofstream out(path);
   out << "A,B,C,D\n1,a,$,Flower\n1,x,L,Tulip\n2,x,$,Daffodil\n"
          "2,x,$,Flower\n2,b,L,Lily\n3,b,$,Orchid\n3,c,L,Flower\n3,c,#,Rose\n";
