@@ -12,7 +12,8 @@ namespace tane {
 
 StatusOr<std::vector<DiscoveredKey>> DiscoverKeys(
     const Relation& relation, const KeyDiscoveryOptions& options) {
-  if (options.epsilon < 0.0 || options.epsilon > 1.0) {
+  // Written so that NaN fails the range checks.
+  if (!(options.epsilon >= 0.0 && options.epsilon <= 1.0)) {
     return Status::InvalidArgument("epsilon must be in [0, 1]");
   }
   if (options.max_key_size < 0) {

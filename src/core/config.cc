@@ -1,9 +1,12 @@
 #include "core/config.h"
 
+#include <cmath>
+
 namespace tane {
 
 Status TaneConfig::Validate() const {
-  if (epsilon < 0.0 || epsilon > 1.0) {
+  // Written so that NaN fails every range check.
+  if (!(epsilon >= 0.0 && epsilon <= 1.0)) {
     return Status::InvalidArgument("epsilon must be in [0, 1], got " +
                                    std::to_string(epsilon));
   }
@@ -15,16 +18,13 @@ Status TaneConfig::Validate() const {
         "num_threads must be in [1, " + std::to_string(kMaxNumThreads) +
         "], got " + std::to_string(num_threads));
   }
-  if (parallel_min_window_rows < -1) {
-    return Status::InvalidArgument(
-        "parallel_min_window_rows must be >= -1, got " +
-        std::to_string(parallel_min_window_rows));
-  }
   if (run_controller != nullptr && run_controller->memory_budget_bytes() < 0) {
     return Status::InvalidArgument("memory budget must be >= 0 bytes");
   }
-  if (progress_period_seconds < 0.0) {
-    return Status::InvalidArgument("progress_period_seconds must be >= 0");
+  if (!std::isfinite(progress_period_seconds) ||
+      progress_period_seconds < 0.0) {
+    return Status::InvalidArgument(
+        "progress_period_seconds must be finite and >= 0");
   }
   if (stop_after_level < 0) {
     return Status::InvalidArgument("stop_after_level must be >= 0");

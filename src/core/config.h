@@ -117,19 +117,6 @@ struct TaneConfig {
   /// a typo like --threads=1000000 from exhausting the process.
   static constexpr int kMaxNumThreads = 256;
 
-  /// Small-level serial fallback for num_threads > 1. A level whose
-  /// estimated work (candidate count × mean parent partition size) is below
-  /// this many row-operations runs on the caller thread with no task
-  /// window, because fan-out/join overhead would exceed the work itself —
-  /// the pathology that made --threads=2 slower than --threads=1 on
-  /// shallow levels. -1 (the default) picks a calibrated threshold (and
-  /// always falls back when the machine has a single hardware thread);
-  /// 0 forces the parallel window for every level (used by tests to
-  /// exercise the scheduler on small datasets). Not part of the checkpoint
-  /// config fingerprint: like num_threads itself, it changes scheduling,
-  /// never results.
-  int64_t parallel_min_window_rows = -1;
-
   StorageMode storage = StorageMode::kMemory;
 
   /// Spill directory for StorageMode::kDisk and the kAuto fallback. Empty
@@ -145,8 +132,10 @@ struct TaneConfig {
   RunController* run_controller = nullptr;
 
   /// Optional tracer; when set, the run emits nested phase spans (run →
-  /// level → {generate, products, validity, prune, spill} → per-worker
-  /// slices) for Chrome/Perfetto export. Not owned; must outlive the run.
+  /// level → {generate, resolve, products, validity, prune, release,
+  /// spill} → per-worker slices; level 1's resolve, `base-partitions`
+  /// window and release sit directly under run) for Chrome/Perfetto
+  /// export. Not owned; must outlive the run.
   obs::Tracer* tracer = nullptr;
 
   /// Heartbeat period for the progress monitor; 0 (the default) disables

@@ -45,8 +45,9 @@ struct DiscoveryStats {
   /// Partition products computed.
   int64_t partition_products = 0;
   /// Heap allocations performed inside PartitionProduct::Multiply across
-  /// all workers (scratch growth plus output buffers the pool could not
-  /// cover). 0 per product once pooling has warmed up.
+  /// all workers: scratch growth plus each product's exact-size output.
+  /// The driver attaches no buffer pool, so outputs cost 2 per product, or
+  /// 1 when the product is empty.
   int64_t product_allocations = 0;
   /// Member rows actually walked by partition products (labeling + probe
   /// passes) across all workers — the honest rows/sec denominator.

@@ -20,9 +20,9 @@ namespace tane {
 /// LEVEL — which is the only point where the whole search state reduces to
 /// a small closed set: the dependencies and keys emitted so far, the
 /// surviving nodes of level ℓ with their C⁺ sets and partitions, and the
-/// deterministic work counters. Everything else (singleton partitions, the
-/// empty-set partition, probe tables, pools) is derived from the relation
-/// or is scratch, and is deliberately rebuilt on resume rather than stored.
+/// deterministic work counters. Everything else (fold mode's singleton
+/// partitions, probe tables, pools) is derived from the relation or is
+/// scratch, and is deliberately rebuilt on resume rather than stored.
 ///
 /// Resume is exact: restoring the emitted dependencies in emission order
 /// rebuilds every pruning index (found_lhs_by_rhs_, covered-rhs masks)

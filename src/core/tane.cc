@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
 #include <list>
 #include <memory>
@@ -64,13 +63,11 @@ void LogIgnoredStatus(const Status& status, const char* context) {
 }
 
 // One attribute set of the current level, with its rhs⁺ candidates C⁺(X),
-// the partition error e(X), the member-row count ‖π_X‖ (bounds the next
-// window's row work), and the handle of π_X in the partition store.
+// the partition error e(X), and the handle of π_X in the partition store.
 struct Node {
   AttributeSet set;
   AttributeSet cplus;
   int64_t error = 0;
-  int64_t member_rows = 0;
   int64_t handle = -1;
   bool deleted = false;
 };
@@ -171,30 +168,23 @@ struct WindowSlot {
 struct WindowInputs {
   // The level being built (its nodes' |X|).
   int level_number = 1;
-  const std::vector<AttributeSet>* sets = nullptr;
-  // Parent level (survivors of level_number - 1); nullptr at level 1,
-  // where the tests run against π_∅.
+  const std::vector<LevelCandidate>* candidates = nullptr;
+  // Parent level: the survivors of level_number - 1 (at level 1, the one
+  // node ∅).
   const std::vector<Node>* parents = nullptr;
-  // GenerateNextLevel's subset positions: candidate i's X\{c}, for the
-  // t-th smallest c ∈ X, is parents[(*subsets)[i·level_number + t]].
-  // nullptr at level 1.
+  // The subset positions: candidate i's X\{c}, for the t-th smallest
+  // c ∈ X, is parents[(*subsets)[i·level_number + t]].
   const std::vector<int32_t>* subsets = nullptr;
   // The parents' partitions, indexed like `parents`: borrowed with Peek by
   // the coordinator before the window, so workers read them without
   // touching the store. Null where the store cannot lend one (disk-backed);
   // workers then copy through their accessor (ParentPartition).
   std::vector<const StrippedPartition*> parent_partitions;
-  // Fold mode at level 1: keep a resident copy of every singleton partition
-  // next to the stored one.
-  bool stash_singletons = false;
-  // The serial-fallback estimate of the window's total row work: Σ over
-  // candidates of the smaller parent's member rows (or a proxy at level 1).
-  int64_t est_row_work = 0;
 
   // Candidate i's subset positions, ordered by the attribute each subset
-  // drops; null at level 1.
+  // drops.
   const int32_t* Subsets(int64_t i) const {
-    return subsets == nullptr ? nullptr : subsets->data() + i * level_number;
+    return subsets->data() + i * level_number;
   }
 };
 
@@ -336,9 +326,6 @@ class TaneRun {
   Status Run(DiscoveryResult* result);
 
  private:
-  using BuildFn = std::function<StatusOr<StrippedPartition>(WorkerState*,
-                                                            int64_t)>;
-
   // The in-order half of COMPUTE-DEPENDENCIES (paper §5): the level window
   // already ran every node's validity tests fused with its partition build;
   // here the buffered emissions and C⁺ updates land in node order, exactly
@@ -361,16 +348,16 @@ class TaneRun {
   Status Prune(int level_number, std::vector<Node>* level,
                DiscoveryResult* result);
 
-  // GENERATE-NEXT-LEVEL partition computation for one candidate.
+  // GENERATE-NEXT-LEVEL partition computation for one candidate: read from
+  // the relation at level 1, a product of the two parents above it.
   StatusOr<StrippedPartition> BuildCandidatePartition(
       WorkerState* w, const LevelCandidate& candidate,
       const WindowInputs& in);
 
   // Tests X\{A} → A given e(X\{A}), the position of X\{A} in the window's
-  // parent level (-1 at level 1: π_∅), e(X), and the node's own partition
-  // π_X (`fine`, owned by the window slot — level partitions are tested
-  // before they are stored). Sets *valid and *error (the error value to
-  // report when valid).
+  // parent level, e(X), and the node's own partition π_X (`fine`, owned by
+  // the window slot — level partitions are tested before they are stored).
+  // Sets *valid and *error (the error value to report when valid).
   Status TestValidity(WorkerState* w, const WindowInputs& in, int prev_pos,
                       int64_t prev_error, int64_t node_error,
                       const StrippedPartition* fine, bool* valid,
@@ -384,10 +371,9 @@ class TaneRun {
   // intra-level barrier. Results are committed through the index-ordered
   // frontier in WindowContext. On success *next holds the level's nodes and
   // pending_outcomes_ their validity outcomes; on stop/failure both hold
-  // the committed prefix. Falls back to an inline serial loop when the
-  // window cannot pay for its scheduling (UseParallelWindow).
-  Status RunLevelWindow(const WindowInputs& in, const BuildFn& build,
-                        std::vector<Node>* next, LevelParallelStats* lp);
+  // the committed prefix.
+  Status RunLevelWindow(const WindowInputs& in, std::vector<Node>* next,
+                        LevelParallelStats* lp);
 
   // Commits every consecutive ready slot at the frontier, or hands that job
   // to the caller already doing it. Call after publishing a slot's `done`.
@@ -400,18 +386,14 @@ class TaneRun {
   Status CommitOneSlot(WindowContext* ctx, int64_t i)
       TANE_REQUIRES(ctx->mu);
 
-  // Satellite of the scaling fix: decides between the parallel task window
-  // and the inline serial path. See TaneConfig::parallel_min_window_rows.
-  bool UseParallelWindow(int64_t count, int64_t est_row_work) const;
-
-  // The boundary-to-boundary advance after PRUNE of `level_number`:
-  // checkpointing, the suspend/stop decision, GENERATE-NEXT-LEVEL, and the
-  // fused build+validate window for the next level. Returns true when the
-  // run should continue with `current` holding the next level, false when
-  // it wound down (all handles released; the caller exits the loop). Shared
-  // by the level loop and the resume prologue, which is what lets a
-  // restored run re-enter the lattice mid-flight through the exact same
-  // code path. Survivor handles are released before returning in every
+  // The boundary-to-boundary advance after PRUNE of `level_number` (or
+  // from L₀ = {∅}): checkpointing, the suspend/stop decision,
+  // GENERATE-NEXT-LEVEL, and the fused build+validate window for the next
+  // level. Returns true when the run should continue with `current` holding
+  // the next level, false when it wound down (all handles released; the
+  // caller exits the loop). A fresh run enters it at level 0 and a resumed
+  // one at its snapshot's level, so both build every level through this
+  // one path. Survivor handles are released before returning in every
   // case: the window already consumed them for products and validity tests.
   StatusOr<bool> AdvanceLevel(int level_number, std::vector<Node>* survivors,
                               std::vector<Node>* current,
@@ -541,8 +523,6 @@ class TaneRun {
         " bytes); use StorageMode::kAuto to degrade to disk instead");
   }
 
-  const StrippedPartition& EmptySetPartition();
-
   // Records an emitted dependency for the definitional C⁺ fallback and the
   // covered-rhs pruning masks below. Coordinator-only: workers buffer
   // emissions in NodeOutcome and the merge loop calls this in node order.
@@ -585,27 +565,25 @@ class TaneRun {
   }
 
   // Seeds C⁺ for candidate `i` of a window (line 2 of
-  // COMPUTE-DEPENDENCIES: ∩ of the parents' C⁺, full set at level 1) and
+  // COMPUTE-DEPENDENCIES: ∩ of the parents' C⁺; C⁺(∅) = R at level 1) and
   // applies the covered-rhs pruning. Runs inside the candidate's task: it
   // reads only the parents' final C⁺ and the covered-rhs masks, and only
   // the coordinator writes those, between windows.
   AttributeSet SeedCplus(const WindowInputs& in, int64_t i) const {
-    const AttributeSet set = (*in.sets)[i];
+    const AttributeSet set = (*in.candidates)[i].set;
     AttributeSet cplus = AttributeSet::FullSet(relation_.num_columns());
-    if (in.level_number > 1) {
-      const int32_t* subsets = in.Subsets(i);
-      int rank = 0;
-      for (int attribute : Members(set)) {
-        const Node& parent = (*in.parents)[subsets[rank++]];
-        // Invariant: GenerateNextLevel lists each candidate's subsets by
-        // the attribute they drop.
-        // tane-lint: allow(tane-check)
-        TANE_CHECK(parent.set == set.Without(attribute))
-            << "level invariant broken: wrong subset position for "
-            << set.ToString();
-        cplus = cplus.Intersect(parent.cplus);
-        if (cplus.empty()) break;
-      }
+    const int32_t* subsets = in.Subsets(i);
+    int rank = 0;
+    for (int attribute : Members(set)) {
+      const Node& parent = (*in.parents)[subsets[rank++]];
+      // Invariant: GenerateNextLevel lists each candidate's subsets by the
+      // attribute they drop.
+      // tane-lint: allow(tane-check)
+      TANE_CHECK(parent.set == set.Without(attribute))
+          << "level invariant broken: wrong subset position for "
+          << set.ToString();
+      cplus = cplus.Intersect(parent.cplus);
+      if (cplus.empty()) break;
     }
     // Covered-rhs pruning: a candidate A outside X is dead once some known
     // dependency lhs' → A has lhs' ⊆ X — every dependency that could still
@@ -625,10 +603,6 @@ class TaneRun {
 
   // Stop polling cadence for the inner validity-test / product loops.
   static constexpr int64_t kStopPollStride = 64;
-
-  // Auto threshold for UseParallelWindow: below this many total row
-  // operations the fan-out/join of a window costs more than the level.
-  static constexpr int64_t kAutoParallelMinRowWork = 1 << 15;
 
   const Relation& relation_;
   // Snapshot to restore before the loop, or nullptr for a fresh run.
@@ -670,11 +644,6 @@ class TaneRun {
   int resumed_from_level_ = 0;
   double checkpoint_seconds_ = 0.0;
 
-  // π_∅ and e(∅), needed when testing dependencies ∅ → A at level 1. Built
-  // eagerly before the first parallel region (workers only read it).
-  std::unique_ptr<StrippedPartition> empty_partition_;
-  int64_t empty_error_ = 0;
-
   // found_lhs_by_rhs_[A] = left-hand sides of every dependency emitted so
   // far with right-hand side A; backs the definitional C⁺ fallback.
   std::vector<std::vector<AttributeSet>> found_lhs_by_rhs_;
@@ -687,20 +656,10 @@ class TaneRun {
 
   // Resident copies of the single-attribute partitions, kept only in the
   // Schlimmer-style recomputation mode (use_partition_products == false).
-  // Written by the level-1 window's commit frontier (serialized under its
-  // mutex, in attribute order); read-only once that window ends, so later
-  // windows' workers share them without locking.
+  // Built by Run before the first window and read-only after, so every
+  // window's workers share them without locking.
   std::vector<StrippedPartition> singleton_partitions_;
 };
-
-const StrippedPartition& TaneRun::EmptySetPartition() {
-  if (empty_partition_ == nullptr) {
-    empty_partition_ = std::make_unique<StrippedPartition>(
-        PartitionBuilder::ForAttributeSet(relation_, AttributeSet(),
-                                          config_.use_stripped_partitions));
-  }
-  return *empty_partition_;
-}
 
 void TaneRun::SamplePeakMemory() {
   // Coordinator-only, between parallel regions. The gauges feed the
@@ -761,15 +720,8 @@ Status TaneRun::TestValidity(WorkerState* w, const WindowInputs& in,
     }
   }
 
-  const StrippedPartition* coarse = nullptr;
-  if (prev_pos >= 0) {
-    TANE_ASSIGN_OR_RETURN(coarse, ParentPartition(w, in, prev_pos));
-  } else {
-    coarse = empty_partition_.get();
-    // Invariant: the level driver prebuilds the empty-set partition.
-    // tane-lint: allow(tane-check)
-    TANE_CHECK(coarse != nullptr) << "empty-set partition not prebuilt";
-  }
+  TANE_ASSIGN_OR_RETURN(const StrippedPartition* coarse,
+                        ParentPartition(w, in, prev_pos));
   // Invariant: scan-path callers pass the node's own partition.
   // tane-lint: allow(tane-check)
   TANE_CHECK(fine != nullptr) << "validity scan without the node partition";
@@ -822,23 +774,19 @@ Status TaneRun::ProcessNode(const WindowInputs& in, int64_t i,
   const AttributeSet candidates = node.set.Intersect(node.cplus);
   const int32_t* subsets = in.Subsets(i);
   for (int attribute : Members(candidates)) {
-    int64_t prev_error = empty_error_;
-    int prev_pos = -1;
-    if (in.level_number > 1) {
-      // X\{A} drops A, whose rank in X is the count of members below it.
-      prev_pos = subsets[std::popcount(node.set.mask() &
-                                       ((uint64_t{1} << attribute) - 1))];
-      // Invariant: GenerateNextLevel lists each candidate's subsets by the
-      // attribute they drop.
-      // tane-lint: allow(tane-check)
-      TANE_CHECK((*in.parents)[prev_pos].set == node.set.Without(attribute));
-      prev_error = (*in.parents)[prev_pos].error;
-    }
+    // X\{A} drops A, whose rank in X is the count of members below it.
+    const int prev_pos = subsets[std::popcount(
+        node.set.mask() & ((uint64_t{1} << attribute) - 1))];
+    const Node& prev = (*in.parents)[prev_pos];
+    // Invariant: GenerateNextLevel lists each candidate's subsets by the
+    // attribute they drop.
+    // tane-lint: allow(tane-check)
+    TANE_CHECK(prev.set == node.set.Without(attribute));
 
     bool valid = false;
     bool exact_holds = false;
     double error = 0.0;
-    TANE_RETURN_IF_ERROR(TestValidity(w, in, prev_pos, prev_error, node.error,
+    TANE_RETURN_IF_ERROR(TestValidity(w, in, prev_pos, prev.error, node.error,
                                       fine, &valid, &error, &exact_holds));
     if (!valid) continue;
 
@@ -950,6 +898,10 @@ Status TaneRun::Prune(int level_number, std::vector<Node>* level,
 
 StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
     WorkerState* w, const LevelCandidate& candidate, const WindowInputs& in) {
+  if (in.level_number == 1) {
+    return PartitionBuilder::ForAttribute(relation_, candidate.set.First(),
+                                          config_.use_stripped_partitions);
+  }
   if (config_.use_partition_products) {
     TANE_ASSIGN_OR_RETURN(const StrippedPartition* a,
                           ParentPartition(w, in, candidate.parent_a));
@@ -977,21 +929,6 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
   return product;
 }
 
-bool TaneRun::UseParallelWindow(int64_t count, int64_t est_row_work) const {
-  if (pool_.num_threads() <= 1) return false;
-  if (count < 2) return false;
-  const int64_t configured = config_.parallel_min_window_rows;
-  if (configured == 0) return true;
-  if (configured > 0) return est_row_work >= configured;
-  // Auto: a lone hardware thread can never overlap the window's work (the
-  // pool would only add scheduling overhead on top of a serial
-  // execution), and a level whose total row work is tiny loses more to
-  // fan-out/join than it can win back. hardware_concurrency() == 0 means
-  // "unknown" and gets the benefit of the doubt.
-  if (std::thread::hardware_concurrency() == 1) return false;
-  return est_row_work >= kAutoParallelMinRowWork;
-}
-
 Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
   WindowSlot& slot = ctx->slots[i];
   // Invariant: the frontier only reaches published slots.
@@ -1005,17 +942,9 @@ Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
   // C⁺ is left for MergeOutcomes, which sets every committed node's final
   // value from its outcome.
   Node node;
-  node.set = (*ctx->in->sets)[i];
+  node.set = (*ctx->in->candidates)[i].set;
   node.error = partition.Error();
-  node.member_rows = partition.num_member_rows();
-  if (ctx->in->stash_singletons) {
-    // Fold mode keeps a resident copy next to the stored one; the store
-    // gets the copy so the original can live in singleton_partitions_.
-    TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(partition));
-    singleton_partitions_.push_back(std::move(partition));
-  } else {
-    TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(std::move(partition)));
-  }
+  TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(std::move(partition)));
   ctx->nodes.push_back(node);
   metrics_.AddShared(obs::kSetsGenerated, 1);
 
@@ -1077,10 +1006,9 @@ void TaneRun::CommitReadySlots(WindowContext* ctx) {
   } while (requests != 0);
 }
 
-Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
-                               std::vector<Node>* next,
+Status TaneRun::RunLevelWindow(const WindowInputs& in, std::vector<Node>* next,
                                LevelParallelStats* lp) {
-  const int64_t count = static_cast<int64_t>(in.sets->size());
+  const int64_t count = static_cast<int64_t>(in.candidates->size());
   pending_outcomes_.clear();
   next->clear();
   if (count == 0) return Status::OK();
@@ -1096,96 +1024,75 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, const BuildFn& build,
     ctx.nodes.reserve(count);
   }
 
-  // The per-task body, shared by the parallel window and the serial
-  // fallback: build the candidate's partition and fuse in the validity
-  // tests against the parent level.
-  auto run_task = [&](WorkerState* w, int64_t i) {
-    WindowSlot& slot = ctx.slots[i];
-    slot.partition.emplace(build(w, i));
-    if (!slot.partition->ok()) return;
-    const StrippedPartition& built = slot.partition->value();
-    Node node;
-    node.set = (*in.sets)[i];
-    node.cplus = SeedCplus(in, i);
-    node.error = built.Error();
-    slot.outcome.status = ProcessNode(in, i, node, &built, w, &slot.outcome);
-    metrics_.Add(w->shard, obs::kNodesProcessed, 1);
-  };
-
   store_->BeginTaskWindow();
-  if (UseParallelWindow(count, in.est_row_work)) {
-    if (SpanStack::recording()) {
-      // Names the parallel region for the sampling profiler: every worker
-      // pushes this label as its root frame for the window's duration.
-      char label[kSpanFrameChars];
-      std::snprintf(label, sizeof(label), "window level-%d", in.level_number);
-      SpanStack::SetCollectiveLabel(label);
-    }
-    const ParallelForStats region = pool_.ParallelFor(
-        count, [&](int worker, int64_t i) {
-          WorkerState* w = workers_[worker].get();
+  if (SpanStack::recording()) {
+    // Names the parallel region for the sampling profiler: every worker
+    // pushes this label as its root frame for the window's duration.
+    char label[kSpanFrameChars];
+    std::snprintf(label, sizeof(label), "window level-%d", in.level_number);
+    SpanStack::SetCollectiveLabel(label);
+  }
+  const ParallelForStats region = pool_.ParallelFor(
+      count, [&](int worker, int64_t i) {
+        WorkerState* w = workers_[worker].get();
+        if (ctx.failed.load(std::memory_order_relaxed) ||
+            WorkerShouldStop(w)) {
+          return;
+        }
+        // The commit-distance gate. A gated worker sleeps until the
+        // frontier lets it start. Indices are claimed in ascending order,
+        // so the task at the frontier is claimed before every higher index,
+        // and it is never gated (its gate condition needs the frontier to
+        // pass that very task) — the window cannot deadlock and the
+        // frontier always advances. A short stall is spun out; a long one
+        // (a slow task, a spill write) sleeps, so the run's CPU time does
+        // not grow with how long it lasts.
+        bool stall_recorded = false;
+        std::chrono::steady_clock::time_point spin_start;
+        while (i >= ctx.frontier.load(std::memory_order_seq_cst) + ctx.gate) {
+          if (!stall_recorded) {
+            // One event per gate entry, not per spin: the ring holds the
+            // *pattern* of stalls, and a spinning worker would otherwise
+            // flood its ring in microseconds.
+            stall_recorded = true;
+            spin_start = std::chrono::steady_clock::now();
+            RecordFlight(worker, obs::FlightEventType::kStall, "gate", i,
+                         ctx.frontier.load(std::memory_order_relaxed));
+          }
           if (ctx.failed.load(std::memory_order_relaxed) ||
               WorkerShouldStop(w)) {
             return;
           }
-          // The commit-distance gate. A gated worker sleeps until the
-          // frontier lets it start. Indices are claimed in ascending order,
-          // so the task at the frontier is claimed before every higher
-          // index, and it is never gated (its gate condition needs the
-          // frontier to pass that very task) — the window cannot deadlock
-          // and the frontier always advances. A short stall is spun out; a
-          // long one (a slow task, a spill write) sleeps, so the run's CPU
-          // time does not grow with how long it lasts.
-          bool stall_recorded = false;
-          std::chrono::steady_clock::time_point spin_start;
-          while (i >= ctx.frontier.load(std::memory_order_seq_cst) +
-                          ctx.gate) {
-            if (!stall_recorded) {
-              // One event per gate entry, not per spin: the ring holds the
-              // *pattern* of stalls, and a spinning worker would otherwise
-              // flood its ring in microseconds.
-              stall_recorded = true;
-              spin_start = std::chrono::steady_clock::now();
-              RecordFlight(worker, obs::FlightEventType::kStall, "gate", i,
-                           ctx.frontier.load(std::memory_order_relaxed));
-            }
-            if (ctx.failed.load(std::memory_order_relaxed) ||
-                WorkerShouldStop(w)) {
-              return;
-            }
-            if (std::chrono::steady_clock::now() - spin_start <
-                kGateSpin) {
-              std::this_thread::yield();
-            } else if (ParkAtGate(&ctx, i)) {
-              // Woken by a commit: spin again while the frontier closes in.
-              spin_start = std::chrono::steady_clock::now();
-            }
+          if (std::chrono::steady_clock::now() - spin_start < kGateSpin) {
+            std::this_thread::yield();
+          } else if (ParkAtGate(&ctx, i)) {
+            // Woken by a commit: spin again while the frontier closes in.
+            spin_start = std::chrono::steady_clock::now();
           }
-          run_task(w, i);
-          ctx.slots[i].done.store(1, std::memory_order_release);
-          CommitReadySlots(&ctx);
-        });
-    lp->wall_seconds += region.wall_seconds;
-    lp->worker_seconds += region.busy_seconds;
-    // Workers have quiesced, and every request they made was served; this
-    // pass only confirms the frontier stopped where the window did.
-    CommitReadySlots(&ctx);
-  } else {
-    // Serial fallback: same task and commit code on the caller thread, no
-    // pool, no gate — the frontier trivially follows the loop index.
-    WallTimer serial_timer;
-    WorkerState* w = workers_[0].get();
-    for (int64_t i = 0;
-         i < count && !ctx.failed.load(std::memory_order_relaxed); ++i) {
-      if (WorkerShouldStop(w)) break;
-      run_task(w, i);
-      ctx.slots[i].done.store(1, std::memory_order_release);
-      CommitReadySlots(&ctx);
-    }
-    const double elapsed = serial_timer.ElapsedSeconds();
-    lp->wall_seconds += elapsed;
-    lp->worker_seconds += elapsed;
-  }
+        }
+        // The task: build the candidate's partition and fuse in the
+        // validity tests against the parent level.
+        WindowSlot& slot = ctx.slots[i];
+        slot.partition.emplace(
+            BuildCandidatePartition(w, (*in.candidates)[i], in));
+        if (slot.partition->ok()) {
+          const StrippedPartition& built = slot.partition->value();
+          Node node;
+          node.set = (*in.candidates)[i].set;
+          node.cplus = SeedCplus(in, i);
+          node.error = built.Error();
+          slot.outcome.status =
+              ProcessNode(in, i, node, &built, w, &slot.outcome);
+          metrics_.Add(w->shard, obs::kNodesProcessed, 1);
+        }
+        slot.done.store(1, std::memory_order_release);
+        CommitReadySlots(&ctx);
+      });
+  lp->wall_seconds += region.wall_seconds;
+  lp->worker_seconds += region.busy_seconds;
+  // Workers have quiesced, and every request they made was served; this
+  // pass only confirms the frontier stopped where the window did.
+  CommitReadySlots(&ctx);
   const Status end_status = store_->EndTaskWindow();
 
   int64_t committed = 0;
@@ -1320,8 +1227,7 @@ Status TaneRun::RestoreFromSnapshot(const RunSnapshot& snapshot,
 
   // Survivor partitions rehydrate through the regular Put path, so the
   // store (spill, budget accounting) treats them exactly like partitions
-  // the run computed itself. member_rows is relation-derived state the
-  // snapshot format deliberately omits.
+  // the run computed itself.
   survivors->reserve(snapshot.survivors.size());
   for (const SnapshotNode& stored : snapshot.survivors) {
     TANE_ASSIGN_OR_RETURN(StrippedPartition partition,
@@ -1330,24 +1236,12 @@ Status TaneRun::RestoreFromSnapshot(const RunSnapshot& snapshot,
     node.set = stored.set;
     node.cplus = stored.cplus;
     node.error = stored.error;
-    node.member_rows = partition.num_member_rows();
     TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(std::move(partition)));
     survivors->push_back(node);
     metrics_.Add(0, obs::kCheckpointNodesRestored, 1);
   }
   SamplePeakMemory();
-  TANE_RETURN_IF_ERROR(CheckMemoryBudget());
-  // Relation-derived state the snapshot deliberately omits: the fold-mode
-  // singleton partitions are rebuilt from the input, bit-identical to the
-  // interrupted run's.
-  if (!config_.use_partition_products) {
-    singleton_partitions_.reserve(relation_.num_columns());
-    for (int attribute = 0; attribute < relation_.num_columns(); ++attribute) {
-      singleton_partitions_.push_back(PartitionBuilder::ForAttribute(
-          relation_, attribute, config_.use_stripped_partitions));
-    }
-  }
-  return Status::OK();
+  return CheckMemoryBudget();
 }
 
 StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
@@ -1370,7 +1264,8 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   // processed level and the generation of the next one. Survivor handles
   // are still live here, which is what makes the wind-down snapshot
   // possible at all — this is the last moment the level's partitions exist.
-  if (PollStop()) {
+  // Level 1 is built before the first check.
+  if (level_number > 0 && PollStop()) {
     TANE_RETURN_IF_ERROR(
         MaybeWindDownCheckpoint(level_number, *survivors, result));
     TANE_RETURN_IF_ERROR(ReleaseHandles(survivors));
@@ -1384,12 +1279,19 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   // committed in candidate order so handles and e(·) values are
   // deterministic. The commit-distance gate bounds partitions resident
   // outside the store to O(threads), like the old batched generator.
-  std::vector<AttributeSet> survivor_sets;
-  survivor_sets.reserve(survivors->size());
-  for (const Node& node : *survivors) survivor_sets.push_back(node.set);
   std::vector<LevelCandidate> candidates;
   std::vector<int32_t> subsets;
-  {
+  if (level_number == 0) {
+    // L₁ lists the singletons in attribute order; each one's only subset
+    // is ∅, at position 0.
+    for (int attribute = 0; attribute < relation_.num_columns(); ++attribute) {
+      candidates.push_back({AttributeSet::Singleton(attribute), 0, 0});
+    }
+    subsets.assign(candidates.size(), 0);
+  } else {
+    std::vector<AttributeSet> survivor_sets;
+    survivor_sets.reserve(survivors->size());
+    for (const Node& node : *survivors) survivor_sets.push_back(node.set);
     obs::SpanGuard span(tracer_, "generate", &metrics_);
     candidates = GenerateNextLevel(survivor_sets, &subsets);
   }
@@ -1402,14 +1304,6 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   }
 
   const int next_level = level_number + 1;
-  std::vector<AttributeSet> sets(candidates.size());
-  int64_t est_row_work = 0;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    sets[i] = candidates[i].set;
-    est_row_work +=
-        std::min((*survivors)[candidates[i].parent_a].member_rows,
-                 (*survivors)[candidates[i].parent_b].member_rows);
-  }
 
   // The next level's timing row is pushed before its window so the fused
   // build+validate time lands on the level it creates; a wind-down below
@@ -1423,10 +1317,9 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
 
   WindowInputs in;
   in.level_number = next_level;
-  in.sets = &sets;
+  in.candidates = &candidates;
   in.parents = survivors;
   in.subsets = &subsets;
-  in.est_row_work = est_row_work;
   {
     // Resolve every parent once, here on the coordinator: the borrows stay
     // valid for the whole window, because no Put happens before it opens
@@ -1440,13 +1333,11 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   std::vector<Node> next;
   Status window_status;
   {
-    obs::SpanGuard span(tracer_, "products", &metrics_);
-    window_status = RunLevelWindow(
-        in,
-        [&](WorkerState* w, int64_t i) {
-          return BuildCandidatePartition(w, candidates[i], in);
-        },
-        &next, &stats_.level_parallel.back());
+    obs::SpanGuard span(tracer_, level_number == 0 ? "base-partitions"
+                                                   : "products",
+                        &metrics_);
+    window_status =
+        RunLevelWindow(in, &next, &stats_.level_parallel.back());
   }
   if (window_status.ok() && !stopped()) {
     // Quiesce point: full memory accounting now that worker scratch and
@@ -1506,88 +1397,46 @@ Status TaneRun::Run(DiscoveryResult* result) {
     monitor_->Start();
   }
   const int num_attributes = relation_.num_columns();
-  empty_error_ = num_rows_ > 0 ? num_rows_ - 1 : 0;
   found_lhs_by_rhs_.assign(num_attributes, {});
   covered_by_singleton_.assign(num_attributes, AttributeSet());
   stats_.num_threads = config_.num_threads;
-  if (config_.epsilon > 0.0) {
-    // π_∅ backs the level-1 tests ∅ → A; build it before workers can race
-    // to create it lazily.
-    (void)EmptySetPartition();
-  }
 
-  std::vector<Node> current;
-  int level_number = 1;
-
+  std::vector<Node> survivors;
+  int level_number = 0;
   if (resume_snapshot_ != nullptr) {
-    // Resume: rebuild the boundary state of the checkpointed level and
-    // re-enter the lattice through the same advance path the loop uses.
-    std::vector<Node> survivors;
+    // Resume: rebuild the boundary state of the checkpointed level; the
+    // loop re-enters the lattice there.
     TANE_RETURN_IF_ERROR(
         RestoreFromSnapshot(*resume_snapshot_, result, &survivors));
     level_number = resume_snapshot_->completed_level;
-    if (stats_.level_parallel.empty()) {
-      // Defensive: a well-formed snapshot always carries its level rows.
-      LevelParallelStats row;
-      row.level = level_number;
-      row.nodes = static_cast<int64_t>(survivors.size());
-      stats_.level_parallel.push_back(row);
-    }
+  } else {
+    // L₀ = {∅}, with C⁺(∅) = R and π_∅, one class holding every row.
+    StrippedPartition empty_set = PartitionBuilder::ForAttributeSet(
+        relation_, AttributeSet(), config_.use_stripped_partitions);
+    Node root;
+    root.cplus = AttributeSet::FullSet(num_attributes);
+    root.error = empty_set.Error();
+    TANE_ASSIGN_OR_RETURN(root.handle, store_->Put(std::move(empty_set)));
+    survivors.push_back(root);
+  }
+  if (!config_.use_partition_products) {
+    singleton_partitions_ = PartitionBuilder::ForAllAttributes(
+        relation_, config_.use_stripped_partitions);
+  }
+
+  // Each pass builds level ℓ+1 from the survivors of level ℓ, then merges
+  // and prunes it. Level ℓ's span stays open until that advance returns, so
+  // the generation and the window that build level ℓ+1 nest under it.
+  std::vector<Node> current;
+  std::optional<obs::SpanGuard> level_span;
+  while (true) {
     TANE_ASSIGN_OR_RETURN(
         const bool advanced,
         AdvanceLevel(level_number, &survivors, &current, result));
-    if (advanced) ++level_number;
-    // !advanced leaves `current` empty, skipping the loop: the run wound
-    // down again (suspend, stop, ...) before making progress.
-  } else if (num_attributes > 0) {
-    // L_1 := {{A} | A ∈ R}, with partitions computed from the database
-    // through the same fused window as every later level: build + validity
-    // tests in one task per attribute. Its timing row is pushed first so
-    // the level-1 work lands on the level-1 row.
-    {
-      LevelParallelStats row;
-      row.level = 1;
-      row.nodes = num_attributes;
-      stats_.level_parallel.push_back(row);
-    }
-    std::vector<AttributeSet> sets(num_attributes);
-    for (int attribute = 0; attribute < num_attributes; ++attribute) {
-      sets[attribute] = AttributeSet::Singleton(attribute);
-    }
-    WindowInputs in;
-    in.level_number = 1;
-    in.sets = &sets;
-    in.stash_singletons = !config_.use_partition_products;
-    in.est_row_work = static_cast<int64_t>(num_attributes) * num_rows_;
-    if (in.stash_singletons) singleton_partitions_.reserve(num_attributes);
-    Status seed_status;
-    {
-      obs::SpanGuard span(tracer_, "base-partitions", &metrics_);
-      seed_status = RunLevelWindow(
-          in,
-          [&](WorkerState*, int64_t i) {
-            return StatusOr<StrippedPartition>(PartitionBuilder::ForAttribute(
-                relation_, static_cast<int>(i),
-                config_.use_stripped_partitions));
-          },
-          &current, &stats_.level_parallel.back());
-    }
-    TANE_RETURN_IF_ERROR(seed_status);
-    if (stopped()) {
-      // Stopped during seeding: nothing was merged, so the partial level 1
-      // contributes nothing; drop it — including its timing row, since the
-      // level was never entered.
-      LatchCompletion();
-      stats_.level_parallel.pop_back();
-      pending_outcomes_.clear();
-      TANE_RETURN_IF_ERROR(ReleaseHandles(&current));
-      current.clear();
-    }
-    SamplePeakMemory();
-    TANE_RETURN_IF_ERROR(CheckMemoryBudget());
-  }
+    level_span.reset();
+    if (!advanced || current.empty()) break;
+    ++level_number;
 
-  while (!current.empty()) {
     stats_.levels_processed = level_number;
     metrics_.SetGauge(obs::kCurrentLevel, level_number);
     metrics_.SetGauge(obs::kLevelNodesTotal,
@@ -1596,12 +1445,11 @@ Status TaneRun::Run(DiscoveryResult* result) {
                       metrics_.CounterTotal(obs::kNodesProcessed));
     metrics_.MaxGauge(obs::kMaxLevelSize,
                       static_cast<int64_t>(current.size()));
-    obs::SpanGuard level_span(
-        tracer_, "level " + std::to_string(level_number), &metrics_);
+    level_span.emplace(tracer_, "level " + std::to_string(level_number),
+                       &metrics_);
     RecordFlight(0, obs::FlightEventType::kLevel, "level", level_number,
                  static_cast<int64_t>(current.size()));
-    // The level's timing row was pushed by whichever window built it
-    // (AdvanceLevel, the seeding window, or the resume prologue).
+    // The level's timing row was pushed by AdvanceLevel before its window.
     // tane-lint: allow(tane-check)
     TANE_CHECK(!stats_.level_parallel.empty() &&
                stats_.level_parallel.back().level == level_number)
@@ -1619,8 +1467,7 @@ Status TaneRun::Run(DiscoveryResult* result) {
     }
     result->completed_levels = level_number;
 
-    std::vector<Node> survivors;
-    survivors.reserve(current.size());
+    survivors.clear();
     for (Node& node : current) {
       if (!node.deleted) survivors.push_back(std::move(node));
     }
@@ -1631,13 +1478,8 @@ Status TaneRun::Run(DiscoveryResult* result) {
       TANE_RETURN_IF_ERROR(ReleaseHandles(&survivors));
       break;
     }
-
-    TANE_ASSIGN_OR_RETURN(
-        const bool advanced,
-        AdvanceLevel(level_number, &survivors, &current, result));
-    if (!advanced) break;
-    ++level_number;
   }
+  level_span.reset();
 
   CanonicalizeFds(&result->fds);
   std::sort(result->keys.begin(), result->keys.end());

@@ -132,15 +132,24 @@ std::string ProgressMonitor::FormatLine(std::string_view reason) {
 }
 
 void ProgressMonitor::Loop() {
-  const auto period = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(std::chrono::duration<double>(
-      options_.period_seconds > 0.0 ? options_.period_seconds : 1.0));
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::duration<double> seconds(
+      options_.period_seconds > 0.0 ? options_.period_seconds : 1.0);
+  // A period past the clock's range saturates, as in
+  // RunController::SetDeadlineAfter: the monitor then logs only at Stop.
+  const Clock::duration period =
+      seconds < Clock::duration::max()
+          ? std::chrono::duration_cast<Clock::duration>(seconds)
+          : Clock::duration::max();
   for (;;) {
     {
       MutexLock lock(&mu_);
       // Sleep one period, re-arming against spurious wakeups, unless a
       // stop request arrives first.
-      const auto deadline = std::chrono::steady_clock::now() + period;
+      const Clock::time_point now = Clock::now();
+      const Clock::time_point deadline =
+          period < Clock::time_point::max() - now ? now + period
+                                                  : Clock::time_point::max();
       while (!stop_requested_) {
         if (cv_.WaitUntil(&mu_, deadline)) break;
       }

@@ -58,10 +58,11 @@ std::string AssociationRule::ToString(const Relation& relation) const {
 
 StatusOr<std::vector<AssociationRule>> MineAssociationRules(
     const Relation& relation, const AssociationMiningOptions& options) {
-  if (options.min_support < 0.0 || options.min_support > 1.0) {
+  // Written so that NaN fails the range checks.
+  if (!(options.min_support >= 0.0 && options.min_support <= 1.0)) {
     return Status::InvalidArgument("min_support must be in [0, 1]");
   }
-  if (options.min_confidence < 0.0 || options.min_confidence > 1.0) {
+  if (!(options.min_confidence >= 0.0 && options.min_confidence <= 1.0)) {
     return Status::InvalidArgument("min_confidence must be in [0, 1]");
   }
   if (options.max_itemset_size < 2) {

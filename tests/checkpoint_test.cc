@@ -3,11 +3,13 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/run_snapshot.h"
 #include "core/tane.h"
 #include "datasets/generators.h"
+#include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
 #include "tests/test_util.h"
 #include "util/failpoint.h"
@@ -156,7 +158,6 @@ TEST(FingerprintTest, ConfigFingerprintTracksOutputAffectingFieldsOnly) {
   TaneConfig threads = base;
   threads.num_threads = 8;
   threads.storage = StorageMode::kDisk;
-  threads.parallel_min_window_rows = 0;
   threads.checkpoint_every_level = true;
   EXPECT_EQ(ConfigFingerprint(threads), fp);
 
@@ -425,6 +426,68 @@ TEST(CheckpointResumeTest, EveryBoundaryEpsilonAndThreadCountMatches) {
                   StatusCode::kNotFound)
             << tag;
         std::filesystem::remove_all(dir);
+      }
+    }
+  }
+}
+
+// Fold mode (use_partition_products = false) builds its singleton
+// partitions once per run, fresh or resumed. At 1 and 4 threads, and
+// resumed at the other thread count after a suspend at level 1 or 2, it
+// must find exactly what the product run finds. 40 Hepatitis rows still
+// give 9 levels at ε = 0 and 13 at ε = 0.1; at 150 rows (209k and 264k
+// sets) the case outran ctest's 1500 s timeout under ThreadSanitizer.
+TEST(CheckpointResumeTest, FoldModeMatchesProductsAcrossThreadsAndResumes) {
+  TANE_ASSERT_OK_AND_ASSIGN(Relation uniform, ChaosRelation());
+  TANE_ASSERT_OK_AND_ASSIGN(
+      Relation hepatitis,
+      MakePaperDataset(PaperDataset::kHepatitis, /*rows=*/40, /*seed=*/42));
+  const std::vector<std::pair<std::string, const Relation*>> inputs = {
+      {"uniform", &uniform}, {"hepatitis", &hepatitis}};
+  for (const auto& [name, relation] : inputs) {
+    for (const double epsilon : {0.0, 0.1}) {
+      TaneConfig products;
+      products.epsilon = epsilon;
+      TANE_ASSERT_OK_AND_ASSIGN(DiscoveryResult expected,
+                                Tane::Discover(*relation, products));
+      const auto expect_same = [&](const DiscoveryResult& actual,
+                                   const std::string& tag) {
+        EXPECT_EQ(actual.completion, Completion::kComplete) << tag;
+        ASSERT_EQ(FdStrings(actual.fds), FdStrings(expected.fds)) << tag;
+        for (size_t i = 0; i < expected.fds.size(); ++i) {
+          EXPECT_EQ(actual.fds[i].error, expected.fds[i].error) << tag;
+        }
+        EXPECT_EQ(actual.keys, expected.keys) << tag;
+      };
+      for (const int threads : {1, 4}) {
+        const std::string tag = name + "_e" + std::to_string(epsilon > 0) +
+                                "_t" + std::to_string(threads);
+        TaneConfig fold = products;
+        fold.use_partition_products = false;
+        fold.num_threads = threads;
+        TANE_ASSERT_OK_AND_ASSIGN(DiscoveryResult full,
+                                  Tane::Discover(*relation, fold));
+        expect_same(full, tag);
+        for (const int boundary : {1, 2}) {
+          const std::string resume_tag = tag + "_l" + std::to_string(boundary);
+          const std::string dir = TempPath("tane_fold_resume_" + resume_tag);
+          std::filesystem::remove_all(dir);
+          TaneConfig suspend = fold;
+          suspend.checkpoint_directory = dir;
+          suspend.stop_after_level = boundary;
+          TANE_ASSERT_OK_AND_ASSIGN(DiscoveryResult partial,
+                                    Tane::Discover(*relation, suspend));
+          ASSERT_EQ(partial.completion, Completion::kSuspended) << resume_tag;
+          TaneConfig resume = fold;
+          resume.num_threads = threads == 1 ? 4 : 1;
+          resume.checkpoint_directory = dir;
+          resume.resume = true;
+          TANE_ASSERT_OK_AND_ASSIGN(DiscoveryResult resumed,
+                                    Tane::Discover(*relation, resume));
+          EXPECT_EQ(resumed.stats.resumed_from_level, boundary) << resume_tag;
+          expect_same(resumed, resume_tag);
+          std::filesystem::remove_all(dir);
+        }
       }
     }
   }

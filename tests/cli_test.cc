@@ -145,6 +145,11 @@ TEST(CliTest, DiscoverRejectsBadFlags) {
   // --disk was a second spelling of --storage=disk that let contradictory
   // flags (--disk --storage=memory) pass silently; it is gone.
   EXPECT_EQ(RunCli({"discover", path, "--disk"}).code, 2);
+  // NaN passes a check written `x < lo || x > hi`; these are written so it
+  // fails them. An infinite heartbeat period is rejected too.
+  EXPECT_EQ(RunCli({"discover", path, "--epsilon=nan"}).code, 2);
+  EXPECT_EQ(RunCli({"discover", path, "--progress=nan"}).code, 2);
+  EXPECT_EQ(RunCli({"discover", path, "--progress=inf"}).code, 2);
   EXPECT_EQ(RunCli({"discover", path, "--deadline-ms=-1"}).code, 2);
   EXPECT_EQ(RunCli({"discover", path, "--memory-budget-mb=-1"}).code, 2);
   // Typo'd flags must fail loudly, not silently run without the limit.
@@ -268,6 +273,7 @@ TEST(CliTest, KeysCommand) {
   EXPECT_EQ(result.code, 0) << result.err;
   EXPECT_NE(result.out.find("2 minimal keys"), std::string::npos);
   EXPECT_NE(result.out.find("{A,D}"), std::string::npos);
+  EXPECT_EQ(RunCli({"keys", path, "--epsilon=nan"}).code, 2);
   std::remove(path.c_str());
 }
 
@@ -324,6 +330,8 @@ TEST(CliTest, RulesCommand) {
   EXPECT_NE(result.out.find("city=paris => country=fr"), std::string::npos)
       << result.out;
   EXPECT_EQ(RunCli({"rules", path, "--min-support=2"}).code, 2);
+  EXPECT_EQ(RunCli({"rules", path, "--min-support=nan"}).code, 2);
+  EXPECT_EQ(RunCli({"rules", path, "--min-confidence=nan"}).code, 2);
   std::remove(path.c_str());
 }
 

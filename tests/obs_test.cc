@@ -3,6 +3,7 @@
 // progress heartbeat, Chrome trace export, and the run report's agreement
 // with DiscoveryStats.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -377,6 +378,30 @@ TEST(ProgressMonitorTest, StartStopDoesNotHangOrCrash) {
   monitor.Stop();
 }
 
+TEST(ProgressMonitorTest, PeriodPastTheClockRangeLogsOnlyAtStop) {
+  // 1e10 s is past steady_clock's nanosecond range: the period saturates
+  // instead of overflowing into a deadline in the past.
+  using internal_logging::GetMinLogSeverity;
+  using internal_logging::LogSeverity;
+  using internal_logging::SetMinLogSeverity;
+  const LogSeverity saved = GetMinLogSeverity();
+  SetMinLogSeverity(LogSeverity::kInfo);
+  MetricsRegistry registry(1);
+  ProgressMonitor::Options options;
+  options.period_seconds = 1e10;
+  ProgressMonitor monitor(&registry, options);
+  ::testing::internal::CaptureStderr();
+  monitor.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  monitor.Stop();
+  const std::string logged = ::testing::internal::GetCapturedStderr();
+  SetMinLogSeverity(saved);
+  // One log line: the final one Stop emits.
+  EXPECT_EQ(std::count(logged.begin(), logged.end(), '\n'), 1)
+      << logged.substr(0, 500);
+  EXPECT_NE(logged.find("progress (final)"), std::string::npos) << logged;
+}
+
 TEST(LoggingTest, ParseLogSeverityAcceptsAnyCaseNames) {
   using internal_logging::LogSeverity;
   using internal_logging::ParseLogSeverity;
@@ -454,9 +479,10 @@ TEST(DiscoveryObservabilityTest, TracerSeesPhaseSpansAndMetricsMatchStats) {
   EXPECT_TRUE(saw_run && saw_level && saw_validity && saw_products &&
               saw_prune && saw_generate);
   // The coordinator steps between windows: one parent resolve per window
-  // above level 1, and a release after each of them plus the wind-down's.
+  // (level 1 resolves π_∅), and a release after each of them plus the
+  // wind-down's.
   ASSERT_GE(result.completed_levels, 3);
-  EXPECT_EQ(resolves, result.completed_levels - 1);
+  EXPECT_EQ(resolves, result.completed_levels);
   EXPECT_GE(releases, resolves);
 
   // Per-level rows carry the node counts the report mirrors.

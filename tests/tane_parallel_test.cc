@@ -29,9 +29,6 @@ DiscoveryResult Discover(const Relation& relation, double epsilon,
   TaneConfig config;
   config.epsilon = epsilon;
   config.num_threads = num_threads;
-  // Force the parallel task window even on small levels and single-core CI
-  // machines: these tests exist to exercise the scheduler, not to go fast.
-  config.parallel_min_window_rows = 0;
   StatusOr<DiscoveryResult> result = Tane::Discover(relation, config);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).value();
@@ -111,23 +108,6 @@ TEST_P(TaneParallelDeterminismTest, FullThreadEpsilonMatrixIsBitIdentical) {
   }
 }
 
-TEST_P(TaneParallelDeterminismTest, SerialFallbackMatchesParallelWindow) {
-  // The small-batch fallback (parallel_min_window_rows) routes a level to
-  // the caller thread instead of the task window; both paths share the task
-  // and commit code, so flipping the threshold can change scheduling only,
-  // never results.
-  const Relation relation = Dataset(GetParam().dataset, GetParam().rows);
-  const DiscoveryResult windowed = Discover(relation, 0.0, 4);
-  for (int64_t threshold : {int64_t{-1}, int64_t{1} << 40}) {
-    TaneConfig config;
-    config.num_threads = 4;
-    config.parallel_min_window_rows = threshold;
-    StatusOr<DiscoveryResult> fallback = Tane::Discover(relation, config);
-    ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
-    ExpectIdenticalResults(windowed, *fallback, 4);
-  }
-}
-
 // A kAuto store defers a budget spill to the end of its task window, the one
 // place the spill meets live Peek borrows held on other threads. Spilling
 // runs, and runs on a disk store, must still match the 1-thread memory run
@@ -142,7 +122,6 @@ TEST_P(TaneParallelDeterminismTest, SpillingAndDiskStoresMatchAcrossThreads) {
       TaneConfig config;
       config.epsilon = epsilon;
       config.num_threads = threads;
-      config.parallel_min_window_rows = 0;
       config.storage = StorageMode::kAuto;
       config.run_controller = &controller;
       StatusOr<DiscoveryResult> spilled = Tane::Discover(relation, config);
@@ -246,7 +225,6 @@ TEST(BufferPoolTest, ProductAllocationsDoNotDriftWithThreadCount) {
   for (int threads : {1, 2, 8}) {
     TaneConfig config;
     config.num_threads = threads;
-    config.parallel_min_window_rows = 0;  // force the window scheduler
     StatusOr<DiscoveryResult> result = Tane::Discover(*relation, config);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_GT(result->stats.partition_products, 0) << threads;

@@ -1,6 +1,10 @@
 #include "core/tane.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "datasets/paper_datasets.h"
 #include "gtest/gtest.h"
@@ -95,24 +99,62 @@ TEST(TaneTest, DuplicatedColumnsDetermineEachOther) {
   EXPECT_TRUE(ContainsFd(result->fds, AttributeSet::Of({1}), 0));
 }
 
+// The configurations whose level-1 window tests ∅ → A against π_∅: both
+// modes, every error measure, stripped and full partitions, 1 and 4
+// threads. Each is paired with a label for failure messages.
+std::vector<std::pair<std::string, TaneConfig>> LevelOneConfigs() {
+  std::vector<std::pair<std::string, TaneConfig>> configs;
+  for (double epsilon : {0.0, 0.5}) {
+    for (ErrorMeasure measure :
+         {ErrorMeasure::kG3, ErrorMeasure::kG2, ErrorMeasure::kG1}) {
+      for (bool stripped : {true, false}) {
+        for (int threads : {1, 4}) {
+          TaneConfig config;
+          config.epsilon = epsilon;
+          config.measure = measure;
+          config.use_stripped_partitions = stripped;
+          config.num_threads = threads;
+          configs.emplace_back(
+              "eps=" + std::to_string(epsilon) +
+                  " measure=" + std::to_string(static_cast<int>(measure)) +
+                  " stripped=" + std::to_string(stripped) +
+                  " threads=" + std::to_string(threads),
+              config);
+        }
+      }
+    }
+  }
+  return configs;
+}
+
 TEST(TaneTest, EmptyRelationAllConstantFds) {
   Relation relation = MakeRelation({}, 3);
-  StatusOr<DiscoveryResult> result = Tane::Discover(relation);
-  ASSERT_TRUE(result.ok());
-  // Vacuously, {} -> A for every attribute; nothing else is minimal.
-  EXPECT_EQ(result->num_fds(), 3);
-  for (int a = 0; a < 3; ++a) {
-    EXPECT_TRUE(ContainsFd(result->fds, AttributeSet(), a));
+  for (const auto& [label, config] : LevelOneConfigs()) {
+    StatusOr<DiscoveryResult> result = Tane::Discover(relation, config);
+    ASSERT_TRUE(result.ok()) << label;
+    // Vacuously, {} -> A for every attribute; nothing else is minimal.
+    EXPECT_EQ(result->num_fds(), 3) << label;
+    for (int a = 0; a < 3; ++a) {
+      EXPECT_TRUE(ContainsFd(result->fds, AttributeSet(), a)) << label;
+    }
+    for (const FunctionalDependency& fd : result->fds) {
+      EXPECT_EQ(fd.error, 0.0) << label;
+    }
   }
 }
 
 TEST(TaneTest, SingleRowRelationAllConstantFds) {
   Relation relation = MakeRelation({{"x", "y"}}, 2);
-  StatusOr<DiscoveryResult> result = Tane::Discover(relation);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_fds(), 2);
-  EXPECT_TRUE(ContainsFd(result->fds, AttributeSet(), 0));
-  EXPECT_TRUE(ContainsFd(result->fds, AttributeSet(), 1));
+  for (const auto& [label, config] : LevelOneConfigs()) {
+    StatusOr<DiscoveryResult> result = Tane::Discover(relation, config);
+    ASSERT_TRUE(result.ok()) << label;
+    EXPECT_EQ(result->num_fds(), 2) << label;
+    EXPECT_TRUE(ContainsFd(result->fds, AttributeSet(), 0)) << label;
+    EXPECT_TRUE(ContainsFd(result->fds, AttributeSet(), 1)) << label;
+    for (const FunctionalDependency& fd : result->fds) {
+      EXPECT_EQ(fd.error, 0.0) << label;
+    }
+  }
 }
 
 TEST(TaneTest, SingleColumnRelationHasNoNontrivialFds) {
@@ -194,6 +236,8 @@ TEST(TaneTest, RejectsInvalidConfig) {
   config.epsilon = -0.5;
   EXPECT_FALSE(Tane::Discover(PaperFigure1Relation(), config).ok());
   config.epsilon = 1.5;
+  EXPECT_FALSE(Tane::Discover(PaperFigure1Relation(), config).ok());
+  config.epsilon = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(Tane::Discover(PaperFigure1Relation(), config).ok());
   config.epsilon = 0.0;
   config.max_lhs_size = -1;

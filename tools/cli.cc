@@ -1,5 +1,6 @@
 #include "tools/cli.h"
 
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -288,9 +289,10 @@ Status RunDiscover(const ParsedArgs& args, std::ostream& out,
   if (const std::string* progress = args.Flag("progress")) {
     double period = 1.0;
     if (!progress->empty() &&
-        (!ParseDouble(*progress, &period) || period <= 0)) {
-      return Status::InvalidArgument("--progress period must be > 0, got " +
-                                     *progress);
+        (!ParseDouble(*progress, &period) || !std::isfinite(period) ||
+         period <= 0)) {
+      return Status::InvalidArgument(
+          "--progress period must be finite and > 0, got " + *progress);
     }
     config.progress_period_seconds = period;
   }

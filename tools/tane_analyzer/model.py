@@ -122,7 +122,7 @@ class FunctionInfo:
 
 @dataclass
 class Protocol:
-    kind: str                    # "seqlock" | "spsc-ring" | "single-writer"
+    kind: str                    # "seqlock" | "single-writer"
     words: tuple                 # protected word names, may be empty
     line: int
 

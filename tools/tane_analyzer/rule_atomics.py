@@ -30,17 +30,13 @@ Protocol checks (declared files — see DESIGN.md §16 for the invariants):
       store any atomic — must acquire. Files may declare the protocol with
       no words when every cell is an independent monotonic value that
       readers only aggregate.
-  spsc-ring(words...)
-      Stores to the named index words are release-or-stronger; loads of a
-      word in functions that do not also store it (the other role's side)
-      are acquire-or-stronger.
 """
 
 from . import model
 
 RULE = "atomics-contract"
 
-PROTOCOLS = ("seqlock", "spsc-ring", "single-writer")
+PROTOCOLS = ("seqlock", "single-writer")
 
 
 def _is_atomic(program, source, op):
@@ -177,38 +173,6 @@ def _check_single_writer(source, emit):
                      "word itself")
 
 
-def _check_spsc_ring(source, emit):
-    words = source.protocol.words
-    if not words:
-        emit(RULE, source, source.protocol.line,
-             "spsc-ring protocol header names no index words; declare "
-             "them as `// tane-atomics: spsc-ring(head,tail)`")
-        return
-    for func in source.functions:
-        stored_here = {w for op in func.atomic_ops if op.op != "load"
-                       for w in op.words if w in words}
-        for op in func.atomic_ops:
-            if not _touches(op, words):
-                continue
-            orders = set(op.orders)
-            if not orders:
-                continue  # base check already demanded an explicit order
-            if op.op != "load":
-                if not orders & model.RELEASE_OR_STRONGER:
-                    emit(RULE, source, op.line,
-                         f"spsc-ring index store on `{op.obj}` must be "
-                         "release or stronger to publish the slots "
-                         "written before it")
-            else:
-                touched = set(op.words) & set(words)
-                if not touched & stored_here and \
-                        not orders & model.ACQUIRE_OR_STRONGER:
-                    emit(RULE, source, op.line,
-                         f"spsc-ring read of the other side's index "
-                         f"`{op.obj}` must be acquire or stronger; only "
-                         "the owner of a word may re-read it relaxed")
-
-
 def _check_operator_forms(source, emit):
     """Operator-form atomic accesses (`x++`, `x += v`, `x = v`), collected
     class-aware by the frontend."""
@@ -230,8 +194,6 @@ def run(program, emit):
             _check_seqlock(source, emit)
         elif kind == "single-writer":
             _check_single_writer(source, emit)
-        elif kind == "spsc-ring":
-            _check_spsc_ring(source, emit)
         else:
             emit(RULE, source, source.protocol.line,
                  f"unknown tane-atomics protocol `{kind}`; expected one "
