@@ -43,28 +43,45 @@ bool ReadPod(std::string_view* in, T* value) {
   return true;
 }
 
+// Appends SerializePartition's image of `partition` to `out`.
+void AppendSerialized(const StrippedPartition& partition, std::string* out) {
+  const auto& rows = partition.row_ids();
+  const auto& offsets = partition.class_offsets();
+  out->reserve(out->size() + 32 +
+               (rows.size() + offsets.size()) * sizeof(int32_t));
+  AppendPod(out, kPartitionMagic);
+  AppendPod(out, static_cast<uint8_t>(partition.stripped() ? 1 : 0));
+  AppendPod(out, partition.num_rows());
+  AppendPod(out, static_cast<int64_t>(rows.size()));
+  AppendPod(out, static_cast<int64_t>(offsets.size()));
+  // Empty vectors may have a null data(); append/memcpy forbid that even
+  // for zero sizes.
+  if (!rows.empty()) {
+    out->append(reinterpret_cast<const char*>(rows.data()),
+                rows.size() * sizeof(int32_t));
+  }
+  if (!offsets.empty()) {
+    out->append(reinterpret_cast<const char*>(offsets.data()),
+                offsets.size() * sizeof(int32_t));
+  }
+}
+
+// A spill record: the CRC32 of the serialized partition, then the
+// serialized partition, built in one buffer.
+std::string EncodeRecord(const StrippedPartition& partition) {
+  std::string record(sizeof(uint32_t), '\0');
+  AppendSerialized(partition, &record);
+  const uint32_t crc =
+      Crc32(std::string_view(record).substr(sizeof(uint32_t)));
+  std::memcpy(record.data(), &crc, sizeof(crc));
+  return record;
+}
+
 }  // namespace
 
 std::string SerializePartition(const StrippedPartition& partition) {
   std::string out;
-  const auto& rows = partition.row_ids();
-  const auto& offsets = partition.class_offsets();
-  out.reserve(32 + (rows.size() + offsets.size()) * sizeof(int32_t));
-  AppendPod(&out, kPartitionMagic);
-  AppendPod(&out, static_cast<uint8_t>(partition.stripped() ? 1 : 0));
-  AppendPod(&out, partition.num_rows());
-  AppendPod(&out, static_cast<int64_t>(rows.size()));
-  AppendPod(&out, static_cast<int64_t>(offsets.size()));
-  // Empty vectors may have a null data(); append/memcpy forbid that even
-  // for zero sizes.
-  if (!rows.empty()) {
-    out.append(reinterpret_cast<const char*>(rows.data()),
-               rows.size() * sizeof(int32_t));
-  }
-  if (!offsets.empty()) {
-    out.append(reinterpret_cast<const char*>(offsets.data()),
-               offsets.size() * sizeof(int32_t));
-  }
+  AppendSerialized(partition, &out);
   return out;
 }
 
@@ -107,7 +124,7 @@ StatusOr<std::unique_ptr<PartitionStore>> PartitionStore::Open(
   auto store = std::make_unique<PartitionStore>(/*budget_bytes=*/0,
                                                 std::move(directory));
   {
-    WriterMutexLock lock(&store->mu_);
+    MutexLock lock(&store->mu_);
     store->spill_every_put_ = true;
     TANE_RETURN_IF_ERROR(store->OpenDirectory());
   }
@@ -178,7 +195,7 @@ Status PartitionStore::OpenNewSegment() {
     return Status::IoError("cannot create segment " + path + ": " +
                            std::strerror(err));
   }
-  segments_.push_back(Segment{fd, 0, 0, false});
+  segments_.push_back(Segment{.fd = fd});
   return Status::OK();
 }
 
@@ -220,11 +237,8 @@ void PartitionStore::CleanupFailedWrite(int32_t segment_id) {
   if (segment.fd < 0) return;
   if (segment.live_partitions == 0) {
     // Nothing durable lives here: drop the whole torn segment file.
-    ::close(segment.fd);
-    segment.fd = -1;
     segment.sealed = true;
-    std::error_code ec;
-    fs::remove(SegmentPath(segment_id), ec);
+    DropSegmentIfDead(segment_id);
     return;
   }
   // Earlier records are still live; just cut the partial record off. The
@@ -239,7 +253,8 @@ void PartitionStore::CleanupFailedWrite(int32_t segment_id) {
 
 void PartitionStore::DropSegmentIfDead(int32_t segment_id) {
   Segment& segment = segments_[segment_id];
-  if (segment.fd < 0 || !segment.sealed || segment.live_partitions > 0) {
+  if (segment.fd < 0 || !segment.sealed || segment.live_partitions > 0 ||
+      segment.reads_in_flight > 0) {
     return;
   }
   ::close(segment.fd);
@@ -249,22 +264,13 @@ void PartitionStore::DropSegmentIfDead(int32_t segment_id) {
 }
 
 StatusOr<PartitionStore::SpillRecord> PartitionStore::WriteRecord(
-    const StrippedPartition& partition) {
+    std::string_view record) {
   TANE_RETURN_IF_ERROR(OpenDirectory());
   if (segments_.empty() || segments_.back().sealed) {
     TANE_RETURN_IF_ERROR(OpenNewSegment());
   }
   const int32_t segment_id = static_cast<int32_t>(segments_.size()) - 1;
   Segment& segment = segments_[segment_id];
-
-  // Record layout: CRC32 of the payload, then the serialized partition.
-  std::string record;
-  {
-    const std::string payload = SerializePartition(partition);
-    record.reserve(sizeof(uint32_t) + payload.size());
-    AppendPod(&record, Crc32(payload));
-    record += payload;
-  }
 
   const int64_t offset = segment.bytes;
   const Status status = RetryWithBackoff(retry_policy_, [&] {
@@ -301,76 +307,97 @@ PartitionStore::Slot* PartitionStore::FindSlot(int64_t handle) {
 }
 
 StatusOr<int64_t> PartitionStore::Put(StrippedPartition partition) {
-  WriterMutexLock lock(&mu_);
-  const int64_t handle = base_ + static_cast<int64_t>(slots_.size());
-  if (spill_every_put_) {
-    TANE_ASSIGN_OR_RETURN(const SpillRecord record, WriteRecord(partition));
-    // The partition now lives on disk; its in-memory buffers are free for
-    // reuse by the next product.
-    if (pool_ != nullptr) pool_->Recycle(std::move(partition));
-    slots_.emplace_back(record);
-    return handle;
-  }
-  resident_bytes_ += partition.EstimatedBytes();
-  slots_.emplace_back(std::move(partition));
-  if (budget_bytes_ > 0 && resident_bytes_ > budget_bytes_) {
-    if (in_window_) {
-      // Workers may hold Peek borrows of resident partitions; spilling now
-      // would free them. Spill at the window boundary.
-      pending_spill_ = true;
-    } else {
-      TANE_RETURN_IF_ERROR(SpillResident());
+  {
+    MutexLock lock(&mu_);
+    if (!spill_every_put_) {
+      const int64_t handle = base_ + static_cast<int64_t>(slots_.size());
+      resident_bytes_ += partition.EstimatedBytes();
+      slots_.emplace_back(std::move(partition));
+      if (budget_bytes_ > 0 && resident_bytes_ > budget_bytes_) {
+        if (in_window_) {
+          // Workers may hold Peek borrows of resident partitions; spilling
+          // now would free them. Spill at the window boundary.
+          pending_spill_ = true;
+        } else {
+          TANE_RETURN_IF_ERROR(SpillResident());
+        }
+      }
+      return handle;
     }
   }
-  return handle;
+  // A store never stops spilling every Put, so the record is serialized
+  // and checksummed without the lock; only its write at the segment cursor
+  // and the new slot need it.
+  const std::string record = EncodeRecord(partition);
+  MutexLock lock(&mu_);
+  TANE_ASSIGN_OR_RETURN(const SpillRecord entry, WriteRecord(record));
+  // The partition now lives on disk; its in-memory buffers are free for
+  // reuse by the next product.
+  if (pool_ != nullptr) pool_->Recycle(std::move(partition));
+  slots_.emplace_back(entry);
+  return base_ + static_cast<int64_t>(slots_.size()) - 1;
 }
 
 StatusOr<StrippedPartition> PartitionStore::Get(int64_t handle) {
-  // Reads share the lock: resident partitions change only under the
-  // exclusive lock, concurrent preads at distinct offsets are safe, and the
-  // segment behind a live handle cannot be unlinked while readers hold the
-  // shared lock (Release takes it exclusively).
-  ReaderMutexLock lock(&mu_);
-  const Slot* slot = FindSlot(handle);
-  if (slot == nullptr) {
-    return Status::NotFound("no partition with handle " +
-                            std::to_string(handle));
-  }
-  if (const auto* partition = std::get_if<StrippedPartition>(slot)) {
-    return *partition;
-  }
-  const SpillRecord& entry = std::get<SpillRecord>(*slot);
-  const Segment& segment = segments_[entry.segment];
-  std::string record(entry.size, '\0');
-  const Status status = RetryWithBackoff(retry_policy_, [&] {
-    return ReadRecordOnce(segment.fd, record.data(), entry.size, entry.offset);
-  });
-  if (!status.ok()) {
-    return Status(status.code(), "spill read from " +
-                                     SegmentPath(entry.segment) +
-                                     " failed: " + status.message());
+  SpillRecord entry;
+  int fd = -1;
+  {
+    MutexLock lock(&mu_);
+    const Slot* slot = FindSlot(handle);
+    if (slot == nullptr) {
+      return Status::NotFound("no partition with handle " +
+                              std::to_string(handle));
+    }
+    if (const auto* partition = std::get_if<StrippedPartition>(slot)) {
+      return *partition;
+    }
+    entry = std::get<SpillRecord>(*slot);
+    // Pin the segment: its fd stays open until the unpin below, even if
+    // `handle` is released meanwhile.
+    Segment& segment = segments_[entry.segment];
+    ++segment.reads_in_flight;
+    fd = segment.fd;
   }
 
-  std::string_view view(record);
+  // Read and verify without the lock, and decode after the unpin.
+  // Concurrent preads, and a pwrite at the cursor, touch disjoint byte
+  // ranges of the segment.
+  std::string record(entry.size, '\0');
+  const Status read = RetryWithBackoff(retry_policy_, [&] {
+    return ReadRecordOnce(fd, record.data(), entry.size, entry.offset);
+  });
+  std::string_view payload(record);
   uint32_t stored_crc = 0;
-  if (!ReadPod(&view, &stored_crc)) {
-    return Status::IoError("spill record in " + SegmentPath(entry.segment) +
-                           " too short for its checksum");
+  const bool has_crc = read.ok() && ReadPod(&payload, &stored_crc);
+  const bool intact = has_crc && Crc32(payload) == stored_crc;
+  {
+    MutexLock lock(&mu_);
+    --segments_[entry.segment].reads_in_flight;
+    DropSegmentIfDead(entry.segment);
+    if (!read.ok()) {
+      return Status(read.code(), "spill read from " +
+                                     SegmentPath(entry.segment) +
+                                     " failed: " + read.message());
+    }
+    if (!has_crc) {
+      return Status::IoError("spill record in " + SegmentPath(entry.segment) +
+                             " too short for its checksum");
+    }
+    if (!intact) {
+      return Status::IoError("spill segment " + SegmentPath(entry.segment) +
+                             " corrupt: checksum mismatch for handle " +
+                             std::to_string(handle));
+    }
+    if (metrics_ != nullptr) {
+      metrics_->AddShared(obs::kSpillReads, 1);
+      metrics_->AddShared(obs::kSpillBytesRead, entry.size);
+    }
   }
-  if (Crc32(view) != stored_crc) {
-    return Status::IoError("spill segment " + SegmentPath(entry.segment) +
-                           " corrupt: checksum mismatch for handle " +
-                           std::to_string(handle));
-  }
-  if (metrics_ != nullptr) {
-    metrics_->AddShared(obs::kSpillReads, 1);
-    metrics_->AddShared(obs::kSpillBytesRead, entry.size);
-  }
-  return DeserializePartition(view);
+  return DeserializePartition(payload);
 }
 
 const StrippedPartition* PartitionStore::Peek(int64_t handle) const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   // The pointer outlives the lock: the slot table moves no resident
   // partition on a Put or on another handle's Release, so only Release of
   // this handle, or a spill, invalidates it.
@@ -379,7 +406,7 @@ const StrippedPartition* PartitionStore::Peek(int64_t handle) const {
 }
 
 Status PartitionStore::Release(int64_t handle) {
-  WriterMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   Slot* slot = FindSlot(handle);
   if (slot == nullptr) {
     return Status::NotFound("release of unknown handle " +
@@ -410,12 +437,12 @@ Status PartitionStore::Release(int64_t handle) {
 }
 
 void PartitionStore::BeginTaskWindow() {
-  WriterMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   in_window_ = true;
 }
 
 Status PartitionStore::EndTaskWindow() {
-  WriterMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   in_window_ = false;
   if (!pending_spill_) return Status::OK();
   pending_spill_ = false;
@@ -431,7 +458,10 @@ Status PartitionStore::SpillResident() {
     auto* partition = std::get_if<StrippedPartition>(&slot);
     if (partition == nullptr) continue;
     // Dropped only once written: a failed write leaves the rest resident.
-    TANE_ASSIGN_OR_RETURN(const SpillRecord record, WriteRecord(*partition));
+    // Encoded under the lock: a budget spill runs on the coordinator,
+    // between windows.
+    TANE_ASSIGN_OR_RETURN(const SpillRecord record,
+                          WriteRecord(EncodeRecord(*partition)));
     resident_bytes_ -= partition->EstimatedBytes();
     if (pool_ != nullptr) pool_->Recycle(std::move(*partition));
     slot = record;
@@ -451,7 +481,7 @@ Status PartitionStore::SpillResident() {
 }
 
 int64_t PartitionStore::disk_bytes() const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
   int64_t total = 0;
   for (const Segment& segment : segments_) {
     if (segment.fd >= 0) total += segment.bytes;

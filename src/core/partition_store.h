@@ -46,12 +46,24 @@ class Tracer;
 /// reused. Get, Release and Peek of a released, negative or never-issued
 /// handle fail (NotFound, or a null Peek).
 ///
-/// Thread-safety: one lock guards the store, so any method may be called
-/// from any thread. TANE's level loop resolves the parent level's
-/// partitions once per task window with Peek on the coordinator and hands
-/// workers the borrowed pointers, so a worker only reaches the store itself
-/// (Get, for a copy) when Peek cannot serve a borrow. A pointer returned by
-/// Peek stays valid across Puts of other handles, concurrent ones included,
+/// Thread-safety: any method may be called from any thread. One Mutex
+/// guards the store's bookkeeping: the slot table, the spill policy flags,
+/// the segment table and its write cursor. It is held only for that
+/// bookkeeping, for copying a resident partition out in Get, and for a
+/// spill's pwrite at the segment cursor, since the record's offset and the
+/// cleanup of a failed write depend on the cursor. A Put into a store
+/// that spills every Put serializes and checksums its record without the
+/// lock, then locks to write it; a Get of a spilled slot pins the slot's
+/// segment under the lock, then reads, verifies and decodes the record
+/// without it, and unpins the segment under a second short lock. A segment's file descriptor is
+/// closed, and its file unlinked, only once no live partition and no
+/// pinned read refer to it, so a Get racing the Release of its own handle
+/// returns the partition or NotFound and never reads a closed or reused
+/// descriptor. TANE's level loop resolves the parent level's partitions
+/// once per task window with Peek on the coordinator and hands workers the
+/// borrowed pointers, so a worker only reaches the store itself (Get, for
+/// a copy) when Peek cannot serve a borrow. A pointer returned by Peek
+/// stays valid across Puts of other handles, concurrent ones included,
 /// and across Releases of other handles; only Release of the peeked handle
 /// — or a spill at a window boundary (see BeginTaskWindow) — invalidates
 /// it.
@@ -63,13 +75,13 @@ class Tracer;
 /// been released are unlinked, so — because TANE releases whole levels —
 /// disk usage tracks the two live levels (O(s_max·|r|)) rather than the
 /// total spill volume. Every record carries a CRC32 of its payload,
-/// validated on read before deserialization; writes and reads loop over
-/// short transfers and EINTR; transient kIoError failures are retried with
-/// capped exponential backoff (see util/retry.h) before surfacing, and
-/// surfaced errors name the segment path. A write that fails permanently
-/// unlinks the segment when it holds no other live partitions, or truncates
-/// the partial record away otherwise, so failed runs leave no torn segment
-/// files behind. Spill writes and reads are instrumented with the
+/// validated on read before deserialization (both outside the lock, see
+/// above); writes and reads loop over short transfers and EINTR;
+/// transient kIoError failures are retried with capped exponential backoff
+/// (see util/retry.h) before surfacing, and surfaced errors name the
+/// segment path. A write that fails permanently unlinks the segment when
+/// it holds no other live partitions, or truncates the partial record away
+/// otherwise, so failed runs leave no torn segment files behind. Spill writes and reads are instrumented with the
 /// "disk_store.put", "disk_store.get", and "disk_store.open_segment"
 /// failpoints (util/failpoint.h) for fault-injection tests.
 class PartitionStore {
@@ -130,7 +142,7 @@ class PartitionStore {
   /// store; nullptr detaches. Only benchmarks attach one; the discovery
   /// driver does not.
   void set_buffer_pool(PartitionBufferPool* pool) {
-    WriterMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     pool_ = pool;
   }
 
@@ -139,39 +151,39 @@ class PartitionStore {
   /// kSpillBytes*), and a budget spill sets kDegradedToDisk. Not owned;
   /// nullptr detaches.
   void set_metrics(obs::MetricsRegistry* metrics) {
-    WriterMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     metrics_ = metrics;
   }
 
   /// Attaches a tracer that marks each budget spill as a "spill" span. Not
   /// owned; nullptr detaches.
   void set_tracer(obs::Tracer* tracer) {
-    WriterMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     tracer_ = tracer;
   }
 
   /// Bytes of the partitions currently resident in main memory.
   int64_t resident_bytes() const {
-    ReaderMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     return resident_bytes_;
   }
 
   /// Total bytes ever written to secondary storage (0 for memory stores).
   int64_t bytes_written() const {
-    ReaderMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     return bytes_written_;
   }
 
   /// True once every Put goes straight to disk: from Open on, or once a
   /// budget store's resident partitions have all spilled.
   bool spilled() const {
-    ReaderMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     return spill_every_put_;
   }
 
   /// The directory segments are written to; empty until it is created.
   std::string directory() const {
-    ReaderMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
     return directory_;
   }
 
@@ -200,22 +212,27 @@ class PartitionStore {
   struct Segment {
     int fd = -1;
     int64_t live_partitions = 0;
+    // Gets reading a record of this segment without the lock.
+    int64_t reads_in_flight = 0;
     int64_t bytes = 0;
     bool sealed = false;
   };
 
   // The slot of a live handle, else nullptr.
-  Slot* FindSlot(int64_t handle) TANE_REQUIRES_SHARED(mu_);
-  const Slot* FindSlot(int64_t handle) const TANE_REQUIRES_SHARED(mu_);
+  Slot* FindSlot(int64_t handle) TANE_REQUIRES(mu_);
+  const Slot* FindSlot(int64_t handle) const TANE_REQUIRES(mu_);
   // Creates the spill directory on first use.
   Status OpenDirectory() TANE_REQUIRES(mu_);
   // Writes every resident slot to disk in handle order (a budget spill).
   Status SpillResident() TANE_REQUIRES(mu_);
-  // Appends `partition`'s record to the newest segment.
-  StatusOr<SpillRecord> WriteRecord(const StrippedPartition& partition)
+  // Appends an encoded record (EncodeRecord in the .cc) to the newest
+  // segment, at its cursor.
+  StatusOr<SpillRecord> WriteRecord(std::string_view record)
       TANE_REQUIRES(mu_);
-  std::string SegmentPath(int32_t segment) const TANE_REQUIRES_SHARED(mu_);
+  std::string SegmentPath(int32_t segment) const TANE_REQUIRES(mu_);
   Status OpenNewSegment() TANE_REQUIRES(mu_);
+  // Closes and unlinks a sealed segment that no live partition and no
+  // read in flight refer to.
   void DropSegmentIfDead(int32_t segment) TANE_REQUIRES(mu_);
   // One write/read attempt of a whole record at a fixed offset, looping
   // over short transfers and EINTR; retried on transient errors.
@@ -228,7 +245,7 @@ class PartitionStore {
   // back to its last durable byte.
   void CleanupFailedWrite(int32_t segment) TANE_REQUIRES(mu_);
 
-  mutable SharedMutex mu_;
+  mutable Mutex mu_;
   // Immutable after construction.
   const int64_t budget_bytes_ = 0;
   const std::string spill_directory_;

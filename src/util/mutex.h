@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -31,25 +30,6 @@ class TANE_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Reader-writer capability wrapping std::shared_mutex. Writers use
-/// Lock/Unlock, readers ReaderLock/ReaderUnlock; TANE_GUARDED_BY members
-/// then demand the exclusive lock for writes and at least the shared lock
-/// for reads.
-class TANE_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() TANE_ACQUIRE() { mu_.lock(); }
-  void Unlock() TANE_RELEASE() { mu_.unlock(); }
-  void ReaderLock() TANE_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void ReaderUnlock() TANE_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// RAII exclusive lock on a Mutex (std::lock_guard with annotations).
 class TANE_SCOPED_CAPABILITY MutexLock {
  public:
@@ -61,37 +41,6 @@ class TANE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// RAII exclusive lock on a SharedMutex.
-class TANE_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex* mu) TANE_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterMutexLock() TANE_RELEASE() { mu_->Unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII shared (reader) lock on a SharedMutex.
-class TANE_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex* mu) TANE_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_->ReaderLock();
-  }
-  ~ReaderMutexLock() TANE_RELEASE_GENERIC() { mu_->ReaderUnlock(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable paired with tane::Mutex. Waits are annotated

@@ -8,8 +8,8 @@
 // attributes (GCC, MSVC) every macro expands to nothing, so annotated code
 // builds everywhere.
 //
-// The annotations only attach to the tane::Mutex / tane::SharedMutex
-// wrappers from util/mutex.h (std::mutex is not a Clang "capability" under
+// The annotations only attach to the tane::Mutex wrapper from
+// util/mutex.h (std::mutex is not a Clang "capability" under
 // libstdc++), which is why library code uses the wrappers instead of the
 // std types — tools/tane_lint.py enforces that.
 
@@ -30,33 +30,24 @@
 // capability.
 #define TANE_SCOPED_CAPABILITY TANE_THREAD_ANNOTATION_(scoped_lockable)
 
-// Declares that a data member may only be accessed while holding `x`
-// (exclusively for writes, at least shared for reads).
+// Declares that a data member may only be accessed while holding `x`.
 #define TANE_GUARDED_BY(x) TANE_THREAD_ANNOTATION_(guarded_by(x))
 
 // Declares that the data *pointed to* by a pointer member is guarded by
 // `x`; the pointer itself may be read freely.
 #define TANE_PT_GUARDED_BY(x) TANE_THREAD_ANNOTATION_(pt_guarded_by(x))
 
-// Declares that callers must hold the listed capabilities exclusively
-// (resp. at least shared) when calling the function.
+// Declares that callers must hold the listed capabilities when calling
+// the function.
 #define TANE_REQUIRES(...) \
   TANE_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define TANE_REQUIRES_SHARED(...) \
-  TANE_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 
 // Declares that the function acquires (resp. releases) the listed
 // capabilities; with no argument, the capability is `this`.
 #define TANE_ACQUIRE(...) \
   TANE_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
-#define TANE_ACQUIRE_SHARED(...) \
-  TANE_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
 #define TANE_RELEASE(...) \
   TANE_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
-#define TANE_RELEASE_SHARED(...) \
-  TANE_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
-#define TANE_RELEASE_GENERIC(...) \
-  TANE_THREAD_ANNOTATION_(release_generic_capability(__VA_ARGS__))
 
 // Declares a function that acquires the capability only when it returns
 // the given value (e.g. TryLock).

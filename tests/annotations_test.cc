@@ -55,46 +55,6 @@ TEST(MutexTest, TryLockFailsWhileHeldAndSucceedsWhenFree) {
   mu.Unlock();
 }
 
-TEST(SharedMutexTest, WriterExcludesWriters) {
-  SharedMutex mu;
-  int counter = 0;
-  constexpr int kThreads = 4;
-  constexpr int kIncrementsPerThread = 5000;
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIncrementsPerThread; ++i) {
-        WriterMutexLock lock(&mu);
-        ++counter;
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  ReaderMutexLock lock(&mu);
-  EXPECT_EQ(counter, kThreads * kIncrementsPerThread);
-}
-
-TEST(SharedMutexTest, ReadersShareTheLock) {
-  SharedMutex mu;
-  mu.ReaderLock();
-
-  // A second reader must get in while the first shared lock is held; run it
-  // on another thread and require it to finish, which it cannot do if
-  // ReaderLock were exclusive.
-  std::atomic<bool> second_reader_done{false};
-  std::thread reader([&] {
-    ReaderMutexLock lock(&mu);
-    second_reader_done = true;
-  });
-  reader.join();
-  EXPECT_TRUE(second_reader_done.load());
-
-  mu.ReaderUnlock();
-}
-
 TEST(CondVarTest, WaitWakesOnNotify) {
   Mutex mu;
   CondVar cv;

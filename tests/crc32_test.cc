@@ -1,8 +1,12 @@
 #include "util/crc32.h"
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "gtest/gtest.h"
+#include "util/random.h"
 
 namespace tane {
 namespace {
@@ -35,6 +39,47 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
 
 TEST(Crc32Test, SeedChangesResult) {
   EXPECT_NE(Crc32("abc", 0), Crc32("abc", 1));
+}
+
+// CRC-32 one bit at a time straight from the polynomial, with no table.
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t crc = ~0u;
+  for (char ch : data) {
+    crc ^= static_cast<uint8_t>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+// Every length 0..1100 at every byte offset 0..7 crosses each boundary of
+// the 8-byte step: aligned and unaligned starts, and tails of 0..7 bytes.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLength = 1100;
+  for (uint64_t seed : {uint64_t{0}, uint64_t{0xDEADBEEF}}) {
+    Rng rng(seed);
+    std::string buffer(kMaxLength + 8, '\0');
+    for (char& ch : buffer) ch = static_cast<char>(rng.Next());
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t length = 0; length <= kMaxLength; ++length) {
+        const std::string_view data(buffer.data() + offset, length);
+        ASSERT_EQ(Crc32(data), BitwiseCrc32(data))
+            << "seed " << seed << ", offset " << offset << ", length "
+            << length;
+      }
+    }
+  }
+
+  Rng rng(0xDEADBEEF);
+  std::string buffer(300, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng.Next());
+  const std::string_view data(buffer);
+  const uint32_t whole = BitwiseCrc32(data);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32(data.substr(split), Crc32(data.substr(0, split))), whole)
+        << "split at " << split;
+  }
 }
 
 }  // namespace

@@ -28,20 +28,20 @@ class Counter {
 class Registry {
  public:
   void Put(int value) {
-    tane::WriterMutexLock lock(&mu_);
+    tane::MutexLock lock(&mu_);
     last_ = value;
     PutLocked(value);
   }
 
   int last() const {
-    tane::ReaderMutexLock lock(&mu_);
+    tane::MutexLock lock(&mu_);
     return last_;
   }
 
  private:
   void PutLocked(int value) TANE_REQUIRES(mu_) { sum_ += value; }
 
-  mutable tane::SharedMutex mu_;
+  mutable tane::Mutex mu_;
   int last_ TANE_GUARDED_BY(mu_) = 0;
   int sum_ TANE_GUARDED_BY(mu_) = 0;
 };

@@ -22,6 +22,20 @@ StrippedPartition SamplePartition() {
       .value();
 }
 
+// A partition of `rows` member rows, distinct per i: the rows rotated by
+// i, in classes of two.
+StrippedPartition PairedRows(int32_t rows, int i) {
+  std::vector<int32_t> row_ids(rows);
+  for (int32_t r = 0; r < rows; ++r) row_ids[r] = (r + i) % rows;
+  std::vector<int32_t> offsets;
+  for (int32_t offset = 0; offset <= rows; offset += 2) {
+    offsets.push_back(offset);
+  }
+  return StrippedPartition::Create(rows + i, std::move(row_ids),
+                                   std::move(offsets), true)
+      .value();
+}
+
 TEST(SerializationTest, RoundTrip) {
   StrippedPartition original = SamplePartition();
   StatusOr<StrippedPartition> decoded =
@@ -320,6 +334,121 @@ TEST(DiskPartitionStoreTest, ConcurrentOpensGetDistinctDirectories) {
   EXPECT_EQ(directories.size(), size_t{kThreads * kOpensPerThread});
 }
 
+// Spilled Gets read, verify and decode outside the store's lock while a
+// writer appends to the segment they read from: three threads Get the
+// spilled handles over and over and compare each with its original, while
+// a fourth Puts enough ~96 KB records (~38 MB) to rotate to a new segment.
+// Under the tsan preset, an unlocked touch of the store's bookkeeping is a
+// race.
+void ExerciseConcurrentSpilledReadsAndWrites(PartitionStore* store) {
+  constexpr int kSpilled = 8;
+  constexpr int kReaders = 3;
+  constexpr int kConcurrentPuts = 400;
+  std::vector<StrippedPartition> originals;
+  std::vector<int64_t> handles;
+  for (int i = 0; i < kSpilled; ++i) {
+    originals.push_back(PairedRows(1 << 14, i));
+    StatusOr<int64_t> handle = store->Put(originals.back());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    handles.push_back(*handle);
+  }
+  ASSERT_TRUE(store->spilled());
+  ASSERT_EQ(store->Peek(handles[0]), nullptr);
+
+  std::atomic<bool> writer_done{false};
+  std::vector<int64_t> written;
+  std::thread writer([&] {
+    for (int i = 0; i < kConcurrentPuts; ++i) {
+      StatusOr<int64_t> handle = store->Put(originals[i % kSpilled]);
+      EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+      if (handle.ok()) written.push_back(*handle);
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      // Keep reading until a full pass starts after the last Put.
+      bool done = false;
+      while (!done) {
+        done = writer_done.load(std::memory_order_acquire);
+        for (int k = 0; k < kSpilled; ++k) {
+          const int i = (k + r) % kSpilled;
+          StatusOr<StrippedPartition> loaded = store->Get(handles[i]);
+          ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+          EXPECT_EQ(*loaded, originals[i]) << "handle " << handles[i];
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  ASSERT_EQ(written.size(), size_t{kConcurrentPuts});
+  for (int i = 0; i < kConcurrentPuts; ++i) {
+    StatusOr<StrippedPartition> loaded = store->Get(written[i]);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, originals[i % kSpilled]) << i;
+  }
+  for (int64_t handle : handles) TANE_ASSERT_OK(store->Release(handle));
+  for (int64_t handle : written) TANE_ASSERT_OK(store->Release(handle));
+  EXPECT_EQ(store->disk_bytes(), 0);
+}
+
+TEST(DiskPartitionStoreTest, ConcurrentSpilledReadsAndWrites) {
+  StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+      DiskPartitionStore::Open();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ExerciseConcurrentSpilledReadsAndWrites(store->get());
+}
+
+// A Get may race the Release of its own handle. Each round Puts one
+// partition, then Gets and Releases it from two threads at once. The
+// Release empties, seals and unlinks the newest segment, so the next Put
+// opens a new one, likely on the descriptor number just closed. The Get
+// must return the partition or NotFound: a read of a closed or reused
+// descriptor would surface as kIoError. The ~48 KB records keep the Get
+// busy between its lookup and its read long enough for the Release to
+// land there.
+TEST(DiskPartitionStoreTest, GetRacingReleaseReturnsThePartitionOrNotFound) {
+  StatusOr<std::unique_ptr<DiskPartitionStore>> store =
+      DiskPartitionStore::Open();
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  constexpr int kRounds = 2000;
+  int found = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const StrippedPartition original = PairedRows(1 << 13, round % 7);
+    StatusOr<int64_t> handle = (*store)->Put(original);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    std::atomic<bool> ready{false};
+    std::atomic<bool> go{false};
+    Status released;
+    std::thread releaser([&] {
+      ready.store(true, std::memory_order_release);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      // Sweep the Release's arrival across the Get's lookup and read.
+      for (int i = 0; i < round % 4; ++i) std::this_thread::yield();
+      released = (*store)->Release(*handle);
+    });
+    while (!ready.load(std::memory_order_acquire)) {
+    }
+    go.store(true, std::memory_order_release);
+    StatusOr<StrippedPartition> loaded = (*store)->Get(*handle);
+    releaser.join();
+    TANE_ASSERT_OK(released);
+    if (loaded.ok()) {
+      ++found;
+      EXPECT_EQ(*loaded, original) << "round " << round;
+    } else {
+      ASSERT_EQ(loaded.status().code(), StatusCode::kNotFound)
+          << "round " << round << ": " << loaded.status().ToString();
+    }
+  }
+  EXPECT_EQ((*store)->disk_bytes(), 0);
+  RecordProperty("gets_that_found_the_partition", found);
+}
+
 // A retry policy that records backoff waits instead of sleeping, keeping
 // the persistent-failure tests fast.
 RetryPolicy NoSleepPolicy(int* sleep_count = nullptr) {
@@ -588,6 +717,13 @@ TEST(AutoPartitionStoreTest, FailedSpillKeepsEveryHandleReadable) {
     EXPECT_TRUE(store.Release(handles[i]).ok()) << i;
   }
   EXPECT_EQ(store.resident_bytes(), 0);
+}
+
+TEST(AutoPartitionStoreTest, ConcurrentSpilledReadsAndWritesAfterSpill) {
+  // A 1-byte budget spills on the first Put; every Put after it goes
+  // straight to disk.
+  AutoPartitionStore store(/*budget_bytes=*/1, "");
+  ExerciseConcurrentSpilledReadsAndWrites(&store);
 }
 
 TEST(AutoPartitionStoreTest, ZeroBudgetMeansUnlimited) {

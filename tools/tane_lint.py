@@ -15,10 +15,10 @@ Checks src/ for rules that generic tooling does not know about:
                    members outside util/mutex.h: library code must use the
                    annotated tane::Mutex wrappers so the Clang thread-safety
                    `analysis` preset sees every lock.
-  unguarded-mutex  A tane::Mutex / tane::SharedMutex member must have at
-                   least one TANE_GUARDED_BY / TANE_REQUIRES /
-                   TANE_ACQUIRE(...) companion naming it in the same file —
-                   a lock protecting nothing (statically) is either dead or
+  unguarded-mutex  A tane::Mutex member must have at least one
+                   TANE_GUARDED_BY / TANE_REQUIRES / TANE_ACQUIRE(...)
+                   companion naming it in the same file — a lock
+                   protecting nothing (statically) is either dead or
                    its contract is undocumented.
   float-threshold  Validity thresholds are exact integers (see
                    IntegerThreshold in core/tane.cc). Comparing a violation
@@ -72,7 +72,7 @@ IWYU_RULES = (
                 r"ASSERT_CAPABILITY|RETURN_CAPABILITY|"
                 r"NO_THREAD_SAFETY_ANALYSIS)\b"),
      "util/thread_annotations.h"),
-    (re.compile(r"\b(MutexLock|WriterMutexLock|ReaderMutexLock|CondVar)\b"),
+    (re.compile(r"\b(MutexLock|CondVar)\b"),
      "util/mutex.h"),
     (re.compile(r"\bTANE_(LOG|CHECK|DCHECK)\b"), "util/logging.h"),
     (re.compile(r"\bstd::atomic\b"), "<atomic>"),
@@ -91,7 +91,7 @@ WAIVER_RE = re.compile(r"tane-lint:\s*allow\(([a-z-]+)\)")
 WAIVER_REACH = 3
 
 MUTEX_MEMBER_RE = re.compile(
-    r"^\s*(?:mutable\s+)?(?:tane::)?(Mutex|SharedMutex)\s+(\w+)\s*;")
+    r"^\s*(?:mutable\s+)?(?:tane::)?Mutex\s+(\w+)\s*;")
 STD_SYNC_RE = re.compile(
     r"\bstd::(mutex|shared_mutex|recursive_mutex|condition_variable"
     r"(?:_any)?)\b")
@@ -184,7 +184,7 @@ def lint_file(root, rel_path, findings):
                  "(util/mutex.h)")
         match = MUTEX_MEMBER_RE.match(line)
         if match:
-            mutex_members.append((number, match.group(2)))
+            mutex_members.append((number, match.group(1)))
         for pattern in FLOAT_THRESHOLD_RES:
             if pattern.search(line):
                 emit("float-threshold", number,
@@ -196,8 +196,8 @@ def lint_file(root, rel_path, findings):
     code_text = "\n".join(code_lines)
     for number, member in mutex_members:
         companion = re.compile(
-            r"TANE_(GUARDED_BY|PT_GUARDED_BY|REQUIRES(_SHARED)?|"
-            r"ACQUIRE(_SHARED)?|RELEASE(_SHARED|_GENERIC)?|EXCLUDES|"
+            r"TANE_(GUARDED_BY|PT_GUARDED_BY|REQUIRES|"
+            r"ACQUIRE|RELEASE|EXCLUDES|"
             r"TRY_ACQUIRE|ASSERT_CAPABILITY|RETURN_CAPABILITY)"
             r"\(\s*" + re.escape(member) + r"\s*\)")
         if not companion.search(code_text):
