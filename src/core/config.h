@@ -105,12 +105,14 @@ struct TaneConfig {
   /// Worker threads for per-level node processing (partition products,
   /// error scans, and validity tests). 1 (the default) runs fully serial
   /// with no thread ever spawned; N > 1 runs each level as a task window:
-  /// every candidate node is one task (product + error + validity),
-  /// handed out in index order by one claim counter, with results committed
-  /// through an index-ordered frontier. Output is identical for every
-  /// thread count: the commit frontier stores partitions and merges
-  /// emissions strictly in node order, so every handle, rhs⁺ update, and
-  /// key decision is deterministic. Must be in [1, kMaxNumThreads].
+  /// every candidate node is one task (product + error + validity + store
+  /// Put), handed out by one claim counter. Output is identical for every
+  /// thread count: each task writes only its own node's slot, and the
+  /// emissions and rhs⁺ updates are merged strictly in node order after
+  /// the window, so every dependency, rhs⁺ set and key decision is
+  /// deterministic. Store handles follow Put order, which varies with
+  /// scheduling, and nothing observable depends on them. Must be in
+  /// [1, kMaxNumThreads].
   int num_threads = 1;
 
   /// Upper bound on num_threads — generous for real hardware while keeping

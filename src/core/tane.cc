@@ -6,11 +6,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <list>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,18 +23,13 @@
 #include "partition/partition_builder.h"
 #include "partition/product.h"
 #include "util/logging.h"
-#include "util/mutex.h"
 #include "util/span_stack.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tane {
 namespace {
 
-// For cleanup paths where an earlier error must keep precedence: the
-// secondary failure is logged, never silently dropped (Status is
-// [[nodiscard]]; this is the sanctioned way to sideline one).
 // Flight-recorder event, if one is armed (the CLI arms it whenever a
 // checkpoint directory is configured). One relaxed global load when idle.
 void RecordFlight(int tid, obs::FlightEventType type, std::string_view label,
@@ -55,6 +48,9 @@ void ReportBudgetBreach(int64_t resident, int64_t budget) {
   recorder->DumpGraceful("memory_budget");
 }
 
+// For cleanup paths where an earlier error must keep precedence: the
+// secondary failure is logged, never silently dropped (Status is
+// [[nodiscard]]; this is the sanctioned way to sideline one).
 void LogIgnoredStatus(const Status& status, const char* context) {
   if (!status.ok()) {
     TANE_LOG(Warning) << context << " failed during error unwind: "
@@ -150,18 +146,6 @@ struct NodeOutcome {
   std::vector<Emission> emissions;
 };
 
-// One candidate's slot in a fused level window. The owning worker fills the
-// payload, then publishes it with a release store on `done`; the commit
-// frontier reads it back after an acquire load. No other synchronization
-// touches a slot, so the fields carry no lock annotations.
-struct WindowSlot {
-  std::optional<StatusOr<StrippedPartition>> partition;
-  NodeOutcome outcome;
-  // Per-slot completion latch, release-published / acquire-consumed by the
-  // window executor; no multi-word protocol. tane-lint: allow(naked-atomic)
-  std::atomic<int> done{0};
-};
-
 // Immutable inputs of one fused level window: the candidates (in node
 // order), and the parent level backing C⁺ seeding, the products and the
 // validity tests.
@@ -200,78 +184,6 @@ StatusOr<const StrippedPartition*> ParentPartition(WorkerState* w,
   // ReleaseHandles at the level boundary.
   // tane-analyzer: allow(handle-discipline)
   return w->accessor.Acquire((*in.parents)[pos].handle);
-}
-
-// Shared mutable state of one fused level window. Workers coordinate
-// through the atomic commit `frontier`; everything whose order matters —
-// store inserts, the committed node list, the first failure — happens under
-// `mu`, strictly in candidate order. That frontier is the whole determinism
-// argument: handle values and e(·) bookkeeping are issued exactly as a
-// serial run would issue them, for every thread count.
-struct WindowContext {
-  int64_t count = 0;
-  // How far past the frontier a task may start; bounds the partitions that
-  // exist outside the store to O(threads), like the old batched generator.
-  int64_t gate = 0;
-  std::unique_ptr<WindowSlot[]> slots;
-  const WindowInputs* in = nullptr;
-  // Independent claim counter and sticky error flag; their explicit orders
-  // are the contract. tane-lint: allow(naked-atomic)
-  std::atomic<int64_t> frontier{0};
-  // tane-lint: allow(naked-atomic)
-  std::atomic<bool> failed{false};
-  // Commit requests not yet served; the caller that raises it from zero
-  // holds the commit duty (see CommitReadySlots). A lone counter whose
-  // acq_rel RMWs are the whole contract. tane-lint: allow(naked-atomic)
-  std::atomic<int64_t> commit_requests{0};
-  Mutex mu;
-  Status status TANE_GUARDED_BY(mu) = Status::OK();
-  std::vector<Node> nodes TANE_GUARDED_BY(mu);
-  // Workers past the gate sleep on gate_cv until the frontier reaches
-  // wake_frontier, the smallest frontier any of them waits for.
-  Mutex gate_mu;
-  CondVar gate_cv;
-  int64_t wake_frontier TANE_GUARDED_BY(gate_mu) =
-      std::numeric_limits<int64_t>::max();
-};
-
-// How long a gated worker spins before it sleeps: most stalls are a few
-// tasks long and end well within it, where a sleep would add a wake-up.
-constexpr std::chrono::microseconds kGateSpin{50};
-
-// How long a worker sleeps at the gate before it polls for a cooperative
-// stop again; commits wake it sooner.
-constexpr std::chrono::milliseconds kGateStopPoll{1};
-
-// Sleeps until the frontier is a quarter gate short of letting task `i`
-// start, the window fails, or kGateStopPoll passes; the caller re-checks.
-// Returns true when a commit woke it that close to its start: the worker
-// then spins out the last commits, so a slow wake-up does not hold its
-// task back.
-bool ParkAtGate(WindowContext* ctx, int64_t i) TANE_EXCLUDES(ctx->gate_mu) {
-  const int64_t target = i - ctx->gate + 1;
-  const int64_t wake_at = target - ctx->gate / 4;
-  MutexLock lock(&ctx->gate_mu);
-  if (ctx->frontier.load(std::memory_order_seq_cst) >= target ||
-      ctx->failed.load(std::memory_order_relaxed)) {
-    return false;
-  }
-  ctx->wake_frontier = std::min(ctx->wake_frontier, wake_at);
-  const bool timed_out = ctx->gate_cv.WaitUntil(
-      &ctx->gate_mu, std::chrono::steady_clock::now() + kGateStopPoll);
-  return !timed_out &&
-         ctx->frontier.load(std::memory_order_seq_cst) >= wake_at;
-}
-
-// Wakes the parked workers once `frontier` reaches the smallest frontier
-// one of them waits for (or, with `failed`, unconditionally). The woken
-// workers that are still gated park again and re-post their targets.
-void WakeGate(WindowContext* ctx, int64_t frontier, bool failed)
-    TANE_EXCLUDES(ctx->gate_mu) {
-  MutexLock lock(&ctx->gate_mu);
-  if (frontier < ctx->wake_frontier && !failed) return;
-  ctx->wake_frontier = std::numeric_limits<int64_t>::max();
-  ctx->gate_cv.NotifyAll();
 }
 
 class TaneRun {
@@ -356,7 +268,7 @@ class TaneRun {
 
   // Tests X\{A} → A given e(X\{A}), the position of X\{A} in the window's
   // parent level, e(X), and the node's own partition π_X (`fine`, owned by
-  // the window slot — level partitions are tested before they are stored).
+  // the task — level partitions are tested before they are stored).
   // Sets *valid and *error (the error value to report when valid).
   Status TestValidity(WorkerState* w, const WindowInputs& in, int prev_pos,
                       int64_t prev_error, int64_t node_error,
@@ -368,23 +280,20 @@ class TaneRun {
   // runnable as soon as its parents exist — the parents are the previous
   // level, fully live for the whole window, so all tasks are immediately
   // runnable and the pool's claim counter hands them out with no
-  // intra-level barrier. Results are committed through the index-ordered
-  // frontier in WindowContext. On success *next holds the level's nodes and
-  // pending_outcomes_ their validity outcomes; on stop/failure both hold
-  // the committed prefix.
+  // intra-level barrier. Task i writes only (*next)[i] and
+  // pending_outcomes_[i], so tasks need no order among themselves; the
+  // only order that reaches the output is MergeOutcomes' node order. On a
+  // stop or failure, skipped tasks leave their nodes without a handle and
+  // the caller drops the whole level.
   Status RunLevelWindow(const WindowInputs& in, std::vector<Node>* next,
                         LevelParallelStats* lp);
 
-  // Commits every consecutive ready slot at the frontier, or hands that job
-  // to the caller already doing it. Call after publishing a slot's `done`.
-  void CommitReadySlots(WindowContext* ctx)
-      TANE_EXCLUDES(ctx->mu, ctx->gate_mu);
-
-  // Commits slot `i`: stores the partition, appends the node, and runs the
-  // strided resident-bytes budget check. Called only at the frontier, in
-  // candidate order.
-  Status CommitOneSlot(WindowContext* ctx, int64_t i)
-      TANE_REQUIRES(ctx->mu);
+  // Window task `i`: builds π_X, seeds C⁺ and runs the validity tests into
+  // `out`, then Puts π_X into the store and fills `node`. Every 16th
+  // candidate also samples the store's resident bytes for the peak gauge
+  // and the kMemory budget.
+  Status BuildNode(const WindowInputs& in, int64_t i, WorkerState* w,
+                   Node* node, NodeOutcome* out);
 
   // The boundary-to-boundary advance after PRUNE of `level_number` (or
   // from L₀ = {∅}): checkpointing, the suspend/stop decision,
@@ -426,7 +335,9 @@ class TaneRun {
   bool checkpointing() const { return !config_.checkpoint_directory.empty(); }
 
   Status ReleaseHandles(std::vector<Node>* nodes);
-  void SamplePeakMemory();
+  // Samples the store, the accessor caches and worker scratch into the
+  // resident and peak gauges; returns the bytes it sampled.
+  int64_t SamplePeakMemory();
 
   int64_t AccessorCacheBytes() const {
     int64_t total = 0;
@@ -442,10 +353,6 @@ class TaneRun {
       total += worker->product.ScratchBytes();
     }
     return total;
-  }
-
-  void ClearAccessors() {
-    for (const auto& worker : workers_) worker->accessor.Clear();
   }
 
   bool stopped() const { return stop_flag_.load(std::memory_order_relaxed); }
@@ -504,18 +411,15 @@ class TaneRun {
 
   // Under StorageMode::kMemory a configured budget is a hard limit: the
   // run aborts rather than thrash. kAuto spills instead (in the store) and
-  // kDisk is already O(1)-resident. This is the full quiesce-point
-  // accounting; mid-window commits run the cheaper store-resident check in
-  // CommitOneSlot (worker scratch is in flux while a window runs).
-  Status CheckMemoryBudget() {
+  // kDisk is already O(1)-resident. Quiesce points pass SamplePeakMemory's
+  // full accounting; window tasks pass only the store's resident bytes
+  // (worker scratch is in flux while a window runs).
+  Status CheckMemoryBudget(int64_t resident) const {
     if (config_.storage != StorageMode::kMemory || controller_ == nullptr) {
       return Status::OK();
     }
     const int64_t budget = controller_->memory_budget_bytes();
-    if (budget <= 0) return Status::OK();
-    const int64_t resident = store_->resident_bytes() + AccessorCacheBytes() +
-                             ScratchBytes();
-    if (resident <= budget) return Status::OK();
+    if (budget <= 0 || resident <= budget) return Status::OK();
     ReportBudgetBreach(resident, budget);
     return Status::ResourceExhausted(
         "resident partitions (" + std::to_string(resident) +
@@ -661,7 +565,7 @@ class TaneRun {
   std::vector<StrippedPartition> singleton_partitions_;
 };
 
-void TaneRun::SamplePeakMemory() {
+int64_t TaneRun::SamplePeakMemory() {
   // Coordinator-only, between parallel regions. The gauges feed the
   // heartbeat line; stats_.peak_partition_bytes is read back from the peak
   // gauge at the end of the run.
@@ -669,6 +573,7 @@ void TaneRun::SamplePeakMemory() {
                            ScratchBytes();
   metrics_.SetGauge(obs::kResidentBytes, resident);
   metrics_.MaxGauge(obs::kPeakResidentBytes, resident);
+  return resident;
 }
 
 Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
@@ -679,7 +584,8 @@ Status TaneRun::ReleaseHandles(std::vector<Node>* nodes) {
       node.handle = -1;
     }
   }
-  ClearAccessors();
+  // The accessors' copies may be of the handles just released.
+  for (const auto& worker : workers_) worker->accessor.Clear();
   return Status::OK();
 }
 
@@ -892,7 +798,6 @@ Status TaneRun::Prune(int level_number, std::vector<Node>* level,
       node.handle = -1;
     }
   }
-  ClearAccessors();
   return Status::OK();
 }
 
@@ -929,100 +834,40 @@ StatusOr<StrippedPartition> TaneRun::BuildCandidatePartition(
   return product;
 }
 
-Status TaneRun::CommitOneSlot(WindowContext* ctx, int64_t i) {
-  WindowSlot& slot = ctx->slots[i];
-  // Invariant: the frontier only reaches published slots.
-  // tane-lint: allow(tane-check)
-  TANE_CHECK(slot.partition.has_value()) << "commit of an unpublished slot";
-  if (!slot.partition->ok()) return slot.partition->status();
-  TANE_RETURN_IF_ERROR(slot.outcome.status);
-  StrippedPartition partition = std::move(*slot.partition).value();
-  slot.partition.reset();
-
-  // C⁺ is left for MergeOutcomes, which sets every committed node's final
-  // value from its outcome.
-  Node node;
-  node.set = (*ctx->in->candidates)[i].set;
-  node.error = partition.Error();
-  TANE_ASSIGN_OR_RETURN(node.handle, store_->Put(std::move(partition)));
-  ctx->nodes.push_back(node);
-  metrics_.AddShared(obs::kSetsGenerated, 1);
+Status TaneRun::BuildNode(const WindowInputs& in, int64_t i, WorkerState* w,
+                          Node* node, NodeOutcome* out) {
+  TANE_ASSIGN_OR_RETURN(StrippedPartition partition,
+                        BuildCandidatePartition(w, (*in.candidates)[i], in));
+  node->set = (*in.candidates)[i].set;
+  node->cplus = SeedCplus(in, i);
+  node->error = partition.Error();
+  TANE_RETURN_IF_ERROR(ProcessNode(in, i, *node, &partition, w, out));
+  metrics_.Add(w->shard, obs::kNodesProcessed, 1);
+  // node->cplus stays the seed; MergeOutcomes sets the final C⁺.
+  TANE_ASSIGN_OR_RETURN(node->handle, store_->Put(std::move(partition)));
+  metrics_.Add(w->shard, obs::kSetsGenerated, 1);
 
   if ((i & 15) == 0) {
     // Strided mid-window accounting: worker scratch and accessor caches are
     // in flux, so only the store's resident bytes are sampled here; the
-    // full CheckMemoryBudget runs at the window's quiesce point.
+    // full check runs at the window's quiesce point.
     const int64_t resident = store_->resident_bytes();
     metrics_.MaxGauge(obs::kPeakResidentBytes, resident);
-    if (config_.storage == StorageMode::kMemory && controller_ != nullptr) {
-      const int64_t budget = controller_->memory_budget_bytes();
-      if (budget > 0 && resident > budget) {
-        ReportBudgetBreach(resident, budget);
-        return Status::ResourceExhausted(
-            "resident partitions (" + std::to_string(resident) +
-            " bytes) exceed the memory budget (" + std::to_string(budget) +
-            " bytes); use StorageMode::kAuto to degrade to disk instead");
-      }
-    }
+    TANE_RETURN_IF_ERROR(CheckMemoryBudget(resident));
   }
   return Status::OK();
-}
-
-void TaneRun::CommitReadySlots(WindowContext* ctx) {
-  // The caller that raises the request count from zero takes the commit
-  // duty; everyone else only registers a request and goes back to work. The
-  // duty holder rescans until it has retired every request it observed, and
-  // each acq_rel RMW carries the requester's `done` store with it, so a slot
-  // published while another thread commits is never stranded and nobody has
-  // to poll the frontier.
-  int64_t requests =
-      ctx->commit_requests.fetch_add(1, std::memory_order_acq_rel);
-  if (requests != 0) return;
-  requests = 1;
-  do {
-    int64_t first = 0;
-    int64_t i = 0;
-    bool failed = false;
-    {
-      MutexLock lock(&ctx->mu);
-      first = i = ctx->frontier.load(std::memory_order_relaxed);
-      while (i < ctx->count && !ctx->failed.load(std::memory_order_relaxed) &&
-             ctx->slots[i].done.load(std::memory_order_acquire) != 0) {
-        Status status = CommitOneSlot(ctx, i);
-        if (!status.ok()) {
-          ctx->status = std::move(status);
-          ctx->failed.store(true, std::memory_order_relaxed);
-          break;
-        }
-        ++i;
-        ctx->frontier.store(i, std::memory_order_seq_cst);
-      }
-      failed = ctx->failed.load(std::memory_order_relaxed);
-    }
-    if (i != first || failed) WakeGate(ctx, i, failed);
-    requests = ctx->commit_requests.fetch_sub(requests,
-                                              std::memory_order_acq_rel) -
-               requests;
-  } while (requests != 0);
 }
 
 Status TaneRun::RunLevelWindow(const WindowInputs& in, std::vector<Node>* next,
                                LevelParallelStats* lp) {
   const int64_t count = static_cast<int64_t>(in.candidates->size());
-  pending_outcomes_.clear();
-  next->clear();
+  next->assign(count, Node());
+  pending_outcomes_.assign(count, NodeOutcome());
   if (count == 0) return Status::OK();
-
-  WindowContext ctx;
-  ctx.count = count;
-  ctx.gate = std::max<int64_t>(
-      16, static_cast<int64_t>(pool_.num_threads()) * 8);
-  ctx.slots = std::make_unique<WindowSlot[]>(count);
-  ctx.in = &in;
-  {
-    MutexLock lock(&ctx.mu);
-    ctx.nodes.reserve(count);
-  }
+  // Sticky: tasks claimed after a failure skip their work. The pool's join
+  // publishes every task's writes to the coordinator, so the flag orders
+  // nothing. tane-lint: allow(naked-atomic)
+  std::atomic<bool> failed{false};
 
   store_->BeginTaskWindow();
   if (SpanStack::recording()) {
@@ -1035,81 +880,24 @@ Status TaneRun::RunLevelWindow(const WindowInputs& in, std::vector<Node>* next,
   const ParallelForStats region = pool_.ParallelFor(
       count, [&](int worker, int64_t i) {
         WorkerState* w = workers_[worker].get();
-        if (ctx.failed.load(std::memory_order_relaxed) ||
-            WorkerShouldStop(w)) {
+        if (failed.load(std::memory_order_relaxed) || WorkerShouldStop(w)) {
           return;
         }
-        // The commit-distance gate. A gated worker sleeps until the
-        // frontier lets it start. Indices are claimed in ascending order,
-        // so the task at the frontier is claimed before every higher index,
-        // and it is never gated (its gate condition needs the frontier to
-        // pass that very task) — the window cannot deadlock and the
-        // frontier always advances. A short stall is spun out; a long one
-        // (a slow task, a spill write) sleeps, so the run's CPU time does
-        // not grow with how long it lasts.
-        bool stall_recorded = false;
-        std::chrono::steady_clock::time_point spin_start;
-        while (i >= ctx.frontier.load(std::memory_order_seq_cst) + ctx.gate) {
-          if (!stall_recorded) {
-            // One event per gate entry, not per spin: the ring holds the
-            // *pattern* of stalls, and a spinning worker would otherwise
-            // flood its ring in microseconds.
-            stall_recorded = true;
-            spin_start = std::chrono::steady_clock::now();
-            RecordFlight(worker, obs::FlightEventType::kStall, "gate", i,
-                         ctx.frontier.load(std::memory_order_relaxed));
-          }
-          if (ctx.failed.load(std::memory_order_relaxed) ||
-              WorkerShouldStop(w)) {
-            return;
-          }
-          if (std::chrono::steady_clock::now() - spin_start < kGateSpin) {
-            std::this_thread::yield();
-          } else if (ParkAtGate(&ctx, i)) {
-            // Woken by a commit: spin again while the frontier closes in.
-            spin_start = std::chrono::steady_clock::now();
-          }
-        }
-        // The task: build the candidate's partition and fuse in the
-        // validity tests against the parent level.
-        WindowSlot& slot = ctx.slots[i];
-        slot.partition.emplace(
-            BuildCandidatePartition(w, (*in.candidates)[i], in));
-        if (slot.partition->ok()) {
-          const StrippedPartition& built = slot.partition->value();
-          Node node;
-          node.set = (*in.candidates)[i].set;
-          node.cplus = SeedCplus(in, i);
-          node.error = built.Error();
-          slot.outcome.status =
-              ProcessNode(in, i, node, &built, w, &slot.outcome);
-          metrics_.Add(w->shard, obs::kNodesProcessed, 1);
-        }
-        slot.done.store(1, std::memory_order_release);
-        CommitReadySlots(&ctx);
+        NodeOutcome& out = pending_outcomes_[i];
+        out.status = BuildNode(in, i, w, &(*next)[i], &out);
+        if (!out.status.ok()) failed.store(true, std::memory_order_relaxed);
       });
   lp->wall_seconds += region.wall_seconds;
   lp->worker_seconds += region.busy_seconds;
-  // Workers have quiesced, and every request they made was served; this
-  // pass only confirms the frontier stopped where the window did.
-  CommitReadySlots(&ctx);
   const Status end_status = store_->EndTaskWindow();
-
-  int64_t committed = 0;
-  Status window_status = Status::OK();
-  {
-    MutexLock lock(&ctx.mu);
-    committed = ctx.frontier.load(std::memory_order_relaxed);
-    *next = std::move(ctx.nodes);
-    window_status = ctx.status;
-  }
-  pending_outcomes_.reserve(committed);
-  for (int64_t i = 0; i < committed; ++i) {
-    pending_outcomes_.push_back(std::move(ctx.slots[i].outcome));
-  }
-  if (!window_status.ok()) {
-    LogIgnoredStatus(end_status, "ending the task window");
-    return window_status;
+  if (failed.load(std::memory_order_relaxed)) {
+    // The lowest-index failure, whichever task hit one first.
+    for (const NodeOutcome& out : pending_outcomes_) {
+      if (!out.status.ok()) {
+        LogIgnoredStatus(end_status, "ending the task window");
+        return out.status;
+      }
+    }
   }
   return end_status;
 }
@@ -1240,8 +1028,7 @@ Status TaneRun::RestoreFromSnapshot(const RunSnapshot& snapshot,
     survivors->push_back(node);
     metrics_.Add(0, obs::kCheckpointNodesRestored, 1);
   }
-  SamplePeakMemory();
-  return CheckMemoryBudget();
+  return CheckMemoryBudget(SamplePeakMemory());
 }
 
 StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
@@ -1275,10 +1062,9 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   // GENERATE-NEXT-LEVEL with partitions as products of two parents
   // (Lemma 3), fused with the next level's validity tests: each candidate
   // becomes one task of a level window, runnable the moment its parent
-  // partitions exist (they all do — the parents are the survivors), and
-  // committed in candidate order so handles and e(·) values are
-  // deterministic. The commit-distance gate bounds partitions resident
-  // outside the store to O(threads), like the old batched generator.
+  // partitions exist (they all do — the parents are the survivors). A task
+  // Puts its partition as soon as it is tested, so at most one partition
+  // per worker lives outside the store.
   std::vector<LevelCandidate> candidates;
   std::vector<int32_t> subsets;
   if (level_number == 0) {
@@ -1342,8 +1128,7 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
   if (window_status.ok() && !stopped()) {
     // Quiesce point: full memory accounting now that worker scratch and
     // accessor caches are stable again.
-    SamplePeakMemory();
-    window_status = CheckMemoryBudget();
+    window_status = CheckMemoryBudget(SamplePeakMemory());
   }
   if (!window_status.ok()) {
     // Hard error (store I/O, budget breach): snapshot the level boundary
@@ -1361,8 +1146,8 @@ StatusOr<bool> TaneRun::AdvanceLevel(int level_number,
     return window_status;
   }
   if (stopped()) {
-    // Stopped while building the next level: its committed prefix was
-    // validated but never merged or pruned, so it contributes nothing —
+    // Stopped while building the next level: the nodes its tasks built were
+    // validated but never merged or pruned, so they contribute nothing —
     // drop it. The survivor level is still a valid boundary, so it is
     // snapshot for resume.
     LatchCompletion();

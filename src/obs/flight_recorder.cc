@@ -63,7 +63,6 @@ std::string_view FlightEventTypeName(FlightEventType type) {
     case FlightEventType::kSpanBegin:         return "span_begin";
     case FlightEventType::kSpanEnd:           return "span_end";
     case FlightEventType::kLevel:             return "level";
-    case FlightEventType::kStall:             return "stall";
     case FlightEventType::kVerdict:           return "verdict";
     case FlightEventType::kBudget:            return "budget";
     case FlightEventType::kCheckpointWrite:   return "checkpoint_write";

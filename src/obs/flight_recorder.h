@@ -16,8 +16,6 @@ enum class FlightEventType : uint8_t {
   kSpanBegin = 0,      ///< a tracer span opened (label = span name)
   kSpanEnd,            ///< a tracer span closed (a = duration µs)
   kLevel,              ///< level started (a = level, b = nodes)
-  kStall,              ///< worker gated on the commit frontier (a = task,
-                       ///< b = frontier at entry)
   kVerdict,            ///< RunController verdict latched (label = reason)
   kBudget,             ///< memory budget breached (a = resident, b = budget)
   kCheckpointWrite,    ///< snapshot written (a = bytes, b = nodes)

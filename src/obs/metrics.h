@@ -145,7 +145,8 @@ struct MetricsSnapshot {
 ///    sees exact, untorn values;
 ///  * code that cannot name a worker (disk store, pool recycling) uses
 ///    AddShared(), a relaxed fetch_add on a dedicated shared lane;
-///  * gauges are plain atomics written by the coordinator / stores.
+///  * gauges are plain atomics written by the coordinator and the stores;
+///    MaxGauge, which window tasks call too, is a compare-exchange loop.
 ///
 /// Snapshot() may be called from any thread at any time (the heartbeat
 /// monitor does, once per period) and costs O(shards × metrics).
@@ -190,11 +191,14 @@ class MetricsRegistry {
     gauges_[id].store(value, std::memory_order_relaxed);
   }
 
-  /// Raises the gauge to `value` if larger. Single-writer (coordinator).
+  /// Raises the gauge to `value` if larger. Callable from any thread: the
+  /// level window's tasks sample the peak concurrently.
   void MaxGauge(GaugeId id, int64_t value) {
     std::atomic<int64_t>& cell = gauges_[id];
-    if (value > cell.load(std::memory_order_relaxed)) {
-      cell.store(value, std::memory_order_relaxed);
+    int64_t seen = cell.load(std::memory_order_relaxed);
+    while (value > seen &&
+           !cell.compare_exchange_weak(seen, value, std::memory_order_relaxed,
+                                       std::memory_order_relaxed)) {
     }
   }
 

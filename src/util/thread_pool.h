@@ -38,9 +38,9 @@ struct ParallelForSlice {
 /// A fixed-size pool of worker threads for data-parallel loops. Built for
 /// TANE's level execution: every participant of a ParallelFor claims the
 /// next index from one shared counter until the indices run out, so
-/// indices are claimed in ascending order — the property the level
-/// loop's commit gate rests on (see DESIGN.md §7) — and a slow index
-/// never holds back the others, which keep claiming past it.
+/// indices are claimed in ascending order, uneven index costs balance
+/// themselves, and a slow index never holds back the others, which keep
+/// claiming past it.
 ///
 /// `num_threads` counts the calling thread: a pool of size N spawns N-1
 /// background workers and the ParallelFor caller participates as worker 0.
@@ -49,8 +49,8 @@ struct ParallelForSlice {
 ///
 /// The pool itself imposes no ordering on `fn` invocations; callers that
 /// need deterministic output must write results into per-index slots and
-/// merge them in index order afterwards (see core/tane.cc, which commits
-/// task results through an index-ordered frontier).
+/// merge them in index order afterwards (see core/tane.cc, whose level
+/// window merges its tasks' outcomes in candidate order).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);

@@ -763,7 +763,7 @@ TEST(FlightRecorderTest, GracefulDumpIsValidJsonAndFirstWins) {
   EXPECT_FALSE(recorder->dumped());
 
   recorder->Record(0, FlightEventType::kLevel, "level", 2, 40);
-  recorder->Record(1, FlightEventType::kStall, "gate", 7, 3);
+  recorder->Record(1, FlightEventType::kBudget, "gate", 7, 3);
   // Out-of-range tid clamps to the last ring; over-long labels truncate.
   recorder->Record(99, FlightEventType::kVerdict,
                    "deadline-with-a-very-long-suffix");
@@ -785,7 +785,7 @@ TEST(FlightRecorderTest, GracefulDumpIsValidJsonAndFirstWins) {
   contains("\"schema_version\":1");
   contains("\"reason\":\"deadline\"");
   contains("\"type\":\"level\"");
-  contains("\"type\":\"stall\"");
+  contains("\"type\":\"budget\"");
   contains("\"type\":\"verdict\"");
   contains("\"label\":\"gate\"");
   contains("\"a\":7");

@@ -144,15 +144,20 @@ TEST(TaneCancelTest, PreCancelledRunReturnsPartialResult) {
 }
 
 TEST(TaneMemoryBudgetTest, MemoryModeAbortsWithResourceExhausted) {
-  RunController controller;
-  controller.set_memory_budget_bytes(1);
-  TaneConfig config;
-  config.run_controller = &controller;  // storage stays kMemory
-  const StatusOr<DiscoveryResult> result =
-      Tane::Discover(KeyedRelation(), config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(result.status().message().find("kAuto"), std::string::npos);
+  // The breach is found inside a window task, on a pool thread at 4.
+  for (const int num_threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    RunController controller;
+    controller.set_memory_budget_bytes(1);
+    TaneConfig config;
+    config.run_controller = &controller;  // storage stays kMemory
+    config.num_threads = num_threads;
+    const StatusOr<DiscoveryResult> result =
+        Tane::Discover(KeyedRelation(), config);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(result.status().message().find("kAuto"), std::string::npos);
+  }
 }
 
 TEST(TaneMemoryBudgetTest, AutoModeSpillsInsteadOfFailing) {

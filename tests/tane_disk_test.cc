@@ -125,23 +125,34 @@ TEST_F(TaneSpillFaultTest, TransientSpillReadErrorsAreRetriedToSuccess) {
 TEST_F(TaneSpillFaultTest, PersistentWriteFailureSurfacesIoErrorWithPath) {
   const std::string directory =
       ::testing::TempDir() + "/tane_spill_fault_dir";
-  std::filesystem::remove_all(directory);
-  failpoint::Arm("disk_store.put",
-                 {.skip = 0, .fail_times = 1'000'000'000});
-  TaneConfig disk;
-  disk.storage = StorageMode::kDisk;
-  disk.spill_directory = directory;
-  StatusOr<DiscoveryResult> result =
-      Tane::Discover(PaperFigure1Relation(), disk);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-  // The error names the spill path so operators can find the bad device.
-  EXPECT_NE(result.status().message().find(directory), std::string::npos)
-      << result.status().ToString();
-  // Retries were actually attempted before giving up.
-  EXPECT_GE(failpoint::HitCount("disk_store.put"), 4);
-  // The failed run tore down its spill directory behind itself.
-  EXPECT_FALSE(std::filesystem::exists(directory));
+  // skip = 0 fails the coordinator's Put of π_∅; skip = 1 fails the first
+  // Put of the level-1 window, made inside a window task.
+  for (const int num_threads : {1, 4}) {
+    for (const int64_t skip : {0, 1}) {
+      SCOPED_TRACE("threads=" + std::to_string(num_threads) +
+                   " skip=" + std::to_string(skip));
+      std::filesystem::remove_all(directory);
+      failpoint::ClearAll();
+      failpoint::Arm("disk_store.put",
+                     {.skip = skip, .fail_times = 1'000'000'000});
+      TaneConfig disk;
+      disk.storage = StorageMode::kDisk;
+      disk.spill_directory = directory;
+      disk.num_threads = num_threads;
+      StatusOr<DiscoveryResult> result =
+          Tane::Discover(PaperFigure1Relation(), disk);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+      // The error names the spill path so operators can find the bad
+      // device.
+      EXPECT_NE(result.status().message().find(directory), std::string::npos)
+          << result.status().ToString();
+      // Retries were actually attempted before giving up.
+      EXPECT_GE(failpoint::HitCount("disk_store.put"), 4);
+      // The failed run tore down its spill directory behind itself.
+      EXPECT_FALSE(std::filesystem::exists(directory));
+    }
+  }
 }
 
 TEST_F(TaneSpillFaultTest, PersistentSegmentCreationFailureSurfaces) {
@@ -167,34 +178,40 @@ TEST_F(TaneSpillFaultTest, FailedBudgetSpillLeavesAResumableSnapshot) {
                             Tane::Discover(relation));
   const std::string directory =
       ::testing::TempDir() + "/tane_spill_fault_checkpoint";
-  std::filesystem::remove_all(directory);
+  for (const int num_threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    std::filesystem::remove_all(directory);
 
-  RunController controller;
-  controller.set_memory_budget_bytes(full.stats.peak_partition_bytes / 8);
-  TaneConfig budgeted;
-  budgeted.storage = StorageMode::kAuto;
-  budgeted.run_controller = &controller;
-  budgeted.checkpoint_directory = directory;
-  failpoint::Arm("disk_store.put",
-                 {.skip = 0, .fail_times = 1'000'000'000});
-  const StatusOr<DiscoveryResult> failed = Tane::Discover(relation, budgeted);
-  failpoint::ClearAll();
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
-      << failed.status().ToString();
-  TANE_ASSERT_OK_AND_ASSIGN(const RunSnapshot snapshot,
-                            LoadLatestSnapshot(directory));
-  EXPECT_GE(snapshot.completed_level, 1);
+    RunController controller;
+    controller.set_memory_budget_bytes(full.stats.peak_partition_bytes / 8);
+    TaneConfig budgeted;
+    budgeted.storage = StorageMode::kAuto;
+    budgeted.run_controller = &controller;
+    budgeted.checkpoint_directory = directory;
+    budgeted.num_threads = num_threads;
+    failpoint::Arm("disk_store.put",
+                   {.skip = 0, .fail_times = 1'000'000'000});
+    const StatusOr<DiscoveryResult> failed =
+        Tane::Discover(relation, budgeted);
+    failpoint::ClearAll();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kIoError)
+        << failed.status().ToString();
+    TANE_ASSERT_OK_AND_ASSIGN(const RunSnapshot snapshot,
+                              LoadLatestSnapshot(directory));
+    EXPECT_GE(snapshot.completed_level, 1);
 
-  TaneConfig resume;
-  resume.checkpoint_directory = directory;
-  resume.resume = true;
-  TANE_ASSERT_OK_AND_ASSIGN(const DiscoveryResult resumed,
-                            Tane::Discover(relation, resume));
-  EXPECT_GE(resumed.stats.resumed_from_level, 1);
-  EXPECT_EQ(resumed.completion, Completion::kComplete);
-  EXPECT_EQ(FdStrings(resumed.fds), FdStrings(full.fds));
-  EXPECT_EQ(resumed.keys, full.keys);
+    TaneConfig resume;
+    resume.checkpoint_directory = directory;
+    resume.resume = true;
+    resume.num_threads = num_threads;
+    TANE_ASSERT_OK_AND_ASSIGN(const DiscoveryResult resumed,
+                              Tane::Discover(relation, resume));
+    EXPECT_GE(resumed.stats.resumed_from_level, 1);
+    EXPECT_EQ(resumed.completion, Completion::kComplete);
+    EXPECT_EQ(FdStrings(resumed.fds), FdStrings(full.fds));
+    EXPECT_EQ(resumed.keys, full.keys);
+  }
   std::filesystem::remove_all(directory);
 }
 

@@ -196,8 +196,9 @@ EXACT_SPEEDUP_FLOORS = {2: 1.2, 4: 2.0, 8: 4.0}
 # Everywhere else — the approximate synthetic sweep, whose levels are small
 # enough that the window's fan-out and join show, and the Lymphography
 # stand-in, whose levels are many tiny products where any serialized
-# per-candidate commit work shows — no thread count may be materially slower
-# than serial, on any hardware that can actually run the threads.
+# per-candidate work (a store Put, the node-order merge) shows — no thread
+# count may be materially slower than serial, on any hardware that can
+# actually run the threads.
 NOT_SLOWER_FLOOR = 0.95
 
 # Sweeps the artifact must carry, as (relation, epsilon): dropping one would
