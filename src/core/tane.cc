@@ -30,6 +30,9 @@
 namespace tane {
 namespace {
 
+// For cleanup paths where an earlier error must keep precedence: the
+// secondary failure is logged, never silently dropped (Status is
+// [[nodiscard]]; this is the sanctioned way to sideline one).
 // Flight-recorder event, if one is armed (the CLI arms it whenever a
 // checkpoint directory is configured). One relaxed global load when idle.
 void RecordFlight(int tid, obs::FlightEventType type, std::string_view label,
@@ -48,9 +51,6 @@ void ReportBudgetBreach(int64_t resident, int64_t budget) {
   recorder->DumpGraceful("memory_budget");
 }
 
-// For cleanup paths where an earlier error must keep precedence: the
-// secondary failure is logged, never silently dropped (Status is
-// [[nodiscard]]; this is the sanctioned way to sideline one).
 void LogIgnoredStatus(const Status& status, const char* context) {
   if (!status.ok()) {
     TANE_LOG(Warning) << context << " failed during error unwind: "
@@ -276,11 +276,11 @@ class TaneRun {
                       double* error, bool* exact_holds);
 
   // The fused task window that builds one level: every candidate is one
-  // task (partition build + error + validity tests),
-  // runnable as soon as its parents exist — the parents are the previous
-  // level, fully live for the whole window, so all tasks are immediately
-  // runnable and the pool's claim counter hands them out with no
-  // intra-level barrier. Task i writes only (*next)[i] and
+  // task (partition build + error + validity tests + store Put), runnable
+  // as soon as its parents exist — the parents are the previous level,
+  // fully live for the whole window, so all tasks are immediately runnable
+  // and the pool's claim counter hands them out with no intra-level
+  // barrier. Task i writes only (*next)[i] and
   // pending_outcomes_[i], so tasks need no order among themselves; the
   // only order that reaches the output is MergeOutcomes' node order. On a
   // stop or failure, skipped tasks leave their nodes without a handle and
